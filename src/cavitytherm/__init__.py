@@ -32,8 +32,6 @@ from .analytic import (
     temperature_from_pe,
 )
 from .dynamics import (
-    IntegrationError,
-    StepControl,
     apply_hamiltonian,
     coherence_from_propagator,
     dressed_pair,
@@ -41,7 +39,6 @@ from .dynamics import (
     evolve_atom_field_mixture,
     hamiltonian_matrix,
     propagate,
-    propagate_ode,
     rabi_splitting,
     rho01_exact_sum,
     rho01_exact_summand,
@@ -85,10 +82,10 @@ from .validation import CheckResult, ValidationReport, run_all_checks
 __all__ = [
     "__version__",
     "AtomDensity", "CheckResult", "CoherentPrep", "CollapseTime",
-    "FockCutoff", "IntegrationError", "JointPureState", "LEVEL_E", "LEVEL_G",
-    "PhysicalParams", "ProtocolConfig", "ProtocolResult", "StepControl",
-    "SweepPoint", "TemperatureReading", "Timescales", "TruncationError",
-    "ValidationReport", "ValidityFlags", "ValidityWarning",
+    "FockCutoff", "JointPureState", "LEVEL_E", "LEVEL_G", "PhysicalParams",
+    "ProtocolConfig", "ProtocolResult", "SweepPoint", "TemperatureReading",
+    "Timescales", "TruncationError", "ValidationReport", "ValidityFlags",
+    "ValidityWarning",
     "apply_hamiltonian", "atom_density_from_bloch", "bloch_vector",
     "coherence_from_propagator", "coherent_amplitudes",
     "coherent_joint_state", "coherent_tail_mass", "collapse_condition_time",
@@ -98,9 +95,9 @@ __all__ = [
     "initial_state_independence", "lambert_w0", "mix_densities",
     "partial_trace_field", "pe_after_pulse_analytic", "pe_half_revival",
     "pi_half_pulse", "poisson_weight", "product_state", "propagate",
-    "propagate_ode", "rabi_difference_approx", "rabi_splitting",
-    "required_cutoff", "rho01_analytic", "rho01_exact_sum",
-    "rho01_exact_summand", "rho11_analytic", "run_all_checks",
+    "rabi_difference_approx", "rabi_splitting", "required_cutoff",
+    "rho01_analytic", "rho01_exact_sum", "rho01_exact_summand",
+    "rho11_analytic", "run_all_checks",
     "run_protocol", "sqrt_n_expansion", "sweep_interaction_time", "t_max",
     "t_min", "temperature_from_pe", "thermal_atom", "trace_distance",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import Timescales, rho01_analytic, t_max, t_min
-from .dynamics import IntegrationError, coherence_from_propagator
+from .dynamics import coherence_from_propagator
 from .hilbert import (
     LEVEL_E,
     LEVEL_G,
@@ -115,6 +115,13 @@ class RunSpec:
     n_bar_given: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_bar", "g", "delta_e", "phi", "time", "pe0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        # initial_beta = +/-inf is a ground or fully inverted atom.
+        if self.initial_beta is not None and math.isnan(self.initial_beta):
+            raise ConfigError("initial_beta must not be NaN")
         if self.n_bar <= 0:
             raise ConfigError(f"n_bar must be positive, got {self.n_bar}")
         if self.g <= 0:
@@ -342,8 +349,11 @@ def cmd_sweep(spec: RunSpec) -> int:
 
 def cmd_validate(spec: RunSpec) -> int:
     report = run_all_checks()
-    print(report.format_report())
-    if spec.out is not None and spec.out != "-":
+    to_file = spec.out is not None and spec.out != "-"
+    # On stdout the JSON report replaces the text one; CSV goes only to a file.
+    if to_file or spec.fmt == "csv":
+        print(report.format_report())
+    if to_file or spec.fmt == "json":
         rows = [
             {"name": c.name, "passed": c.passed, "duration": c.duration,
              "detail": c.detail}
@@ -437,8 +447,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[spec.command](spec)
-    except (TruncationError, IntegrationError, ArithmeticError,
-            FloatingPointError, ValueError) as exc:
+    except (TruncationError, ArithmeticError, FloatingPointError,
+            ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

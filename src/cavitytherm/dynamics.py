@@ -8,9 +8,8 @@ which is block diagonal in the excitation number: ``|g,0>`` is stationary
 with energy 0, and each pair ``{|e,n>, |g,n+1>}`` shares the bare energy
 ``omega (n+1)`` and mixes at the vacuum-shifted Rabi angle
 ``theta = g sqrt(n+1) t``. :func:`propagate` applies the closed-form block
-propagator; :func:`propagate_ode` integrates the Schroedinger equation with
-an independent adaptive fixed-order stepper and exists purely as an oracle
-for the closed form.
+propagator; :func:`hamiltonian_matrix` builds the dense ``H`` whose matrix
+exponential serves as the independent oracle for it.
 
 All phases are lab-frame (no interaction picture), so the reduced coherence
 ``rho01 = <g|rho|e>`` rotates as ``exp(+i omega t)`` on top of the slow
@@ -20,7 +19,6 @@ envelope dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,10 +36,6 @@ from .hilbert import (
     poisson_weight,
     product_state,
 )
-
-
-class IntegrationError(RuntimeError):
-    """Raised when the adaptive integrator cannot meet its tolerance."""
 
 
 def rabi_splitting(n, g: float):
@@ -152,81 +146,6 @@ def energy_expectation(state: JointPureState) -> float:
     """Expectation value of the joint Hamiltonian (real by Hermiticity)."""
     amps = state.amplitudes
     return float(np.real(np.vdot(amps, apply_hamiltonian(amps, state.params))))
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Tuning knobs for the adaptive reference integrator.
-
-    ``tolerance`` bounds the per-step local error estimate (step-doubling
-    difference between one full step and two half steps). The step shrinks
-    by half on rejection and doubles when the estimate is comfortably below
-    tolerance; if it underflows ``min_step_fraction * max(t, 1)`` the
-    integration aborts rather than stall.
-    """
-
-    tolerance: float = 1e-10
-    initial_step: float | None = None
-    min_step_fraction: float = 1e-14
-    growth_threshold: float = 1.0 / 64.0
-
-
-def _rk4_step(amps: np.ndarray, h: float, params: PhysicalParams) -> np.ndarray:
-    def deriv(a: np.ndarray) -> np.ndarray:
-        return -1j * apply_hamiltonian(a, params)
-
-    k1 = deriv(amps)
-    k2 = deriv(amps + 0.5 * h * k1)
-    k3 = deriv(amps + 0.5 * h * k2)
-    k4 = deriv(amps + h * k3)
-    return amps + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def propagate_ode(state: JointPureState, t: float,
-                  control: StepControl | None = None) -> JointPureState:
-    """Integrate the Schroedinger equation to time ``t`` (reference oracle).
-
-    Classical fourth-order stepping with step-doubling error control,
-    deliberately independent of the closed-form blocks it cross-checks.
-    Raises :class:`IntegrationError` if the step size underflows before
-    reaching ``t``.
-    """
-    control = control or StepControl()
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t == 0.0:
-        return state
-    params = state.params
-    amps = np.array(state.amplitudes, dtype=np.complex128, copy=True)
-
-    # A sensible opening step: a small fraction of the fastest block period.
-    fastest = max(params.omega * (state.n_max + 1.0),
-                  params.g * math.sqrt(state.n_max + 1.0), 1.0)
-    h = control.initial_step if control.initial_step is not None else 0.1 / fastest
-    h = min(h, t)
-    h_min = control.min_step_fraction * max(t, 1.0)
-
-    reached = 0.0
-    while reached < t:
-        h = min(h, t - reached)
-        if h < h_min:
-            raise IntegrationError(
-                f"step size underflow at t={reached:.6e} of {t:.6e} "
-                f"(h={h:.3e} < {h_min:.3e}); tolerance "
-                f"{control.tolerance:.1e} unreachable"
-            )
-        coarse = _rk4_step(amps, h, params)
-        half = _rk4_step(amps, 0.5 * h, params)
-        fine = _rk4_step(half, 0.5 * h, params)
-        err = float(np.linalg.norm(fine - coarse))
-        if err <= control.tolerance:
-            amps = fine
-            reached += h
-            if err < control.tolerance * control.growth_threshold:
-                h *= 2.0
-        else:
-            h *= 0.5
-    return JointPureState(amps, params)
 
 
 def evolve_atom_field_mixture(atom: AtomDensity, alpha: complex, t: float,

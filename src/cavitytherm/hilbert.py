@@ -14,11 +14,13 @@ Conventions used across the package (natural units, hbar = k_B = 1):
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc
 
 LEVEL_G = 0
 LEVEL_E = 1
@@ -67,11 +69,14 @@ def default_cutoff(n_bar: float) -> int:
 
     Sized so the neglected Poisson tail is far below ``1e-12`` for any
     ``n_bar``: roughly twelve standard deviations past the mean, plus a
-    constant floor that covers small ``n_bar``.
+    constant floor that covers small ``n_bar``. A bound less than 1e-6 above
+    an integer rounds down to it, so rounding of ``|alpha|^2`` below 1e-9
+    (its last bit depends on the field phase) cannot add a Fock level; the
+    twelve-sigma margin makes the dropped fraction of a level immaterial.
     """
     if n_bar < 0:
         raise ValueError(f"n_bar must be non-negative, got {n_bar}")
-    return math.ceil(n_bar + 12.0 * math.sqrt(n_bar) + 20.0)
+    return math.ceil(n_bar + 12.0 * math.sqrt(n_bar) + 20.0 - 1e-6)
 
 
 def coherent_tail_mass(n_bar: float, n_max: int) -> float:
@@ -131,38 +136,77 @@ class FockCutoff:
             )
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# Stirling remainder log(m!) - (m + 1/2) log m + m - log(2 pi)/2 at
+# m = 1..15 (entry 0 is unused), where its asymptotic series does not yet
+# reach double precision.
+_STIRLING_TABLE = np.array([0.0] + [
+    math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _HALF_LOG_2PI
+    for k in range(1, 16)
+])
+
+
+def _log_poisson_weight(n: np.ndarray, n_bar: float) -> np.ndarray:
+    """``log w(n)`` for ``n_bar > 0`` without cancellation between large terms.
+
+    ``n log n_bar - n_bar - log n!`` subtracts numbers of size ``n_bar``, so
+    its rounding error grows with ``n_bar`` (up to 4e-11 at ``n_bar = 1e4``,
+    enough to push a truncated coherent state's norm past 1). As in Loader's
+    Poisson density (2000), ``log w(m)`` is split into ``m (log1p(d) - d)``
+    with ``d = (n_bar - m) / m``, which is small where the weight is, minus
+    the Stirling remainder of ``m!`` and ``log(2 pi m) / 2``. It is taken at
+    ``m = n + 1``, which is never 0, and stepped back with
+    ``log w(n) = log w(m) + log(m / n_bar)``.
+    """
+    m = n + 1.0
+    d = (n_bar - m) / m
+    r2 = 1.0 / (m * m)
+    series = (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188)))) / m
+    remainder = np.where(m > 15, series, _STIRLING_TABLE[np.minimum(m, 15).astype(np.intp)])
+    return (m * (np.log1p(d) - d) - remainder + 0.5 * np.log(m)
+            - (_HALF_LOG_2PI + math.log(n_bar)))
+
+
 def poisson_weight(n, n_bar: float):
     """Poisson weight ``w(n) = exp(-n_bar) n_bar**n / n!`` in log space.
 
-    Accepts scalar or array ``n``; returns a float or float array.
+    Accepts scalar or array ``n`` (non-negative integers); returns a float or
+    float array.
     """
-    n_arr = np.asarray(n)
+    n_arr = np.asarray(n, dtype=float)
     if n_bar < 0:
         raise ValueError(f"n_bar must be non-negative, got {n_bar}")
     if n_bar == 0.0:
         out = np.where(n_arr == 0, 1.0, 0.0)
         return float(out) if np.isscalar(n) else out
-    log_w = n_arr * math.log(n_bar) - n_bar - gammaln(n_arr + 1.0)
-    out = np.exp(log_w)
+    out = np.exp(_log_poisson_weight(n_arr, n_bar))
     return float(out) if np.isscalar(n) else out
 
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     """Fock amplitudes ``c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!)`` up to ``n_max``.
 
-    Magnitudes are evaluated in log space so large ``n_bar`` cannot overflow
-    a factorial; the truncated vector is returned as-is (not renormalized).
+    ``|c_n|^2`` is :func:`poisson_weight`, evaluated in log space so large
+    ``n_bar`` can neither overflow a factorial nor overshoot unit norm; the
+    truncated vector is returned as-is (not renormalized). It is read-only
+    and shared between calls with the same arguments: a sweep asks for the
+    same field at every grid point.
     """
-    alpha = complex(alpha)
-    n = np.arange(n_max + 1)
+    return _coherent_amplitudes(complex(alpha), int(n_max))
+
+
+@functools.lru_cache(maxsize=4)
+def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
+    n = np.arange(n_max + 1, dtype=float)
     n_bar = abs(alpha) ** 2
     if n_bar == 0.0:
         amps = np.zeros(n_max + 1, dtype=np.complex128)
         amps[0] = 1.0
-        return amps
-    log_mag = -0.5 * n_bar + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
-    phase = np.exp(1j * n * np.angle(alpha))
-    return np.exp(log_mag) * phase
+    else:
+        amps = np.exp(0.5 * _log_poisson_weight(n, n_bar) + 1j * cmath.phase(alpha) * n)
+    amps.setflags(write=False)
+    return amps
 
 
 @dataclass(frozen=True)

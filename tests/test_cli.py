@@ -96,6 +96,26 @@ class TestConfigFile:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("content", [
+        "n_bar = nan\n", "g = inf\n", "delta_e = -inf\n", "phi = nan\n",
+        "time = inf\n", "pe0 = nan\n", "initial_beta = nan\n",
+    ])
+    def test_non_finite_values_are_config_errors(self, capsys, tmp_path, content):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(content, encoding="utf-8")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("beta, pe", [("inf", 0.0), ("-inf", 1.0)])
+    def test_infinite_initial_beta_is_a_pure_level(self, capsys, tmp_path, beta, pe):
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text(f"initial_beta = {beta}\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--time", "0")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0]["pre_z"]) == 2.0 * pe - 1.0
+
     def test_conflicting_initial_state(self, capsys, tmp_path):
         cfg = tmp_path / "beta.cfg"
         cfg.write_text("initial_beta = 1.0\n", encoding="utf-8")
@@ -166,6 +186,15 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--g", "-1")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--phi", "nan"), ("--time", "inf"), ("--n-bar", "inf"),
+        ("--g", "nan"), ("--delta-e", "inf"), ("--pe0", "nan"),
+    ])
+    def test_non_finite_flag_is_config_error(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "run", flag, value)
+        assert code == 2
+        assert "must be finite" in err
 
     def test_insufficient_cutoff_is_numeric_failure(self, capsys):
         code, _, err = run_cli(capsys, "run", "--time", "1", "--cutoff", "5")
@@ -316,6 +345,26 @@ class TestValidate:
         rows = json.loads(out_path.read_text(encoding="utf-8"))["rows"]
         assert rows and all(type(r["passed"]) is bool for r in rows)
         assert code == (0 if all(r["passed"] for r in rows) else 1)
+
+
+    def test_json_report_to_stdout_replaces_text(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_all_checks",
+                            lambda: validation.run_all_checks(include_slow=False))
+        code, out, _ = run_cli(capsys, "validate", "--format", "json")
+        rows = json.loads(out)["rows"]
+        assert rows and all(type(r["passed"]) is bool for r in rows)
+        assert code == (0 if all(r["passed"] for r in rows) else 1)
+
+
+def test_cli_import_loads_no_oracle_modules():
+    # The dense-matrix oracle is imported inside its check, so a cold CLI
+    # start pays for neither scipy.linalg nor scipy.sparse.
+    code = ("import sys, cavitytherm.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.sparse'))))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestArgumentParsing:

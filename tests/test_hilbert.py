@@ -23,6 +23,14 @@ class TestPoissonWeight:
         n = np.arange(0, 400)
         assert hilbert.poisson_weight(n, 36.0).sum() == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("n_bar", [1e3, 1e4, 1e5])
+    def test_adjacent_ratio_at_large_mean(self, n_bar):
+        # w(n) / w(n-1) = n_bar / n exactly; a log weight that loses digits
+        # to cancellation between terms of size n_bar breaks it.
+        n = np.arange(int(n_bar) - 300, int(n_bar) + 300, dtype=float)
+        w = hilbert.poisson_weight(n, n_bar)
+        np.testing.assert_allclose(w[1:] / w[:-1], n_bar / n[1:], rtol=1e-13)
+
     def test_vacuum_limit(self):
         assert hilbert.poisson_weight(0, 0.0) == 1.0
         assert hilbert.poisson_weight(3, 0.0) == 0.0
@@ -57,6 +65,18 @@ class TestCoherentAmplitudes:
         assert np.all(np.isfinite(amps.view(float)))
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n_bar", [1e3, 1e4, 1e5])
+    def test_truncated_norm_never_exceeds_one(self, n_bar):
+        amps = hilbert.coherent_amplitudes(math.sqrt(n_bar), hilbert.default_cutoff(n_bar))
+        assert np.sum(np.abs(amps) ** 2) - 1.0 <= 1e-13
+
+    def test_shared_vector_cannot_be_corrupted(self):
+        # Calls with the same arguments share one vector, so it is read-only.
+        amps = hilbert.coherent_amplitudes(6.0, 40)
+        with pytest.raises(ValueError):
+            amps[0] = 0.0
+        assert hilbert.coherent_amplitudes(6.0, 40)[0] == pytest.approx(math.exp(-18.0))
+
     def test_norm_deficit_equals_tail_mass(self):
         n_max = 40
         amps = hilbert.coherent_amplitudes(6.0, n_max)
@@ -79,6 +99,11 @@ class TestCutoffs:
         cutoff = hilbert.FockCutoff(n_max=40)
         with pytest.raises(hilbert.TruncationError, match=r"need n_max >= \d+"):
             cutoff.check(36.0)
+
+    def test_cutoff_does_not_depend_on_field_phase(self):
+        # |alpha|^2 picks up last-bit rounding that depends on the phase.
+        for phi in np.linspace(0.0, 2.0 * math.pi, 64):
+            assert hilbert.CoherentPrep(6.0 * np.exp(1j * phi)).n_max == 128
 
     def test_default_cutoff_is_always_sufficient(self):
         for n_bar in (0.5, 4.0, 36.0, 1000.0):
