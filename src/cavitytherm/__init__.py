@@ -40,8 +40,6 @@ from .dynamics import (
     hamiltonian_matrix,
     propagate,
     rabi_splitting,
-    rho01_exact_sum,
-    rho01_exact_summand,
 )
 from .hilbert import (
     LEVEL_E,
@@ -58,7 +56,6 @@ from .hilbert import (
     coherent_joint_state,
     coherent_tail_mass,
     default_cutoff,
-    mix_densities,
     partial_trace_field,
     poisson_weight,
     product_state,
@@ -92,12 +89,11 @@ __all__ = [
     "collapse_envelope", "cooling_axis_azimuth", "coupling_from_dipole",
     "default_cutoff", "dressed_pair", "energy_expectation",
     "evolve_atom_field_mixture", "hamiltonian_matrix",
-    "initial_state_independence", "lambert_w0", "mix_densities",
+    "initial_state_independence", "lambert_w0",
     "partial_trace_field", "pe_after_pulse_analytic", "pe_half_revival",
     "pi_half_pulse", "poisson_weight", "product_state", "propagate",
     "rabi_difference_approx", "rabi_splitting", "required_cutoff",
-    "rho01_analytic", "rho01_exact_sum", "rho01_exact_summand",
-    "rho11_analytic", "run_all_checks",
+    "rho01_analytic", "rho11_analytic", "run_all_checks",
     "run_protocol", "sqrt_n_expansion", "sweep_interaction_time", "t_max",
     "t_min", "temperature_from_pe", "thermal_atom", "trace_distance",
 ]

@@ -27,10 +27,9 @@ import numpy as np
 
 from . import __version__
 from .analytic import Timescales, rho01_analytic, t_max, t_min
-from .dynamics import coherence_from_propagator
+from .dynamics import evolve_atom_field_mixture
 from .hilbert import (
-    LEVEL_E,
-    LEVEL_G,
+    AtomDensity,
     CoherentPrep,
     FockCutoff,
     PhysicalParams,
@@ -277,8 +276,9 @@ def cmd_run(spec: RunSpec) -> int:
 def cmd_fig_rho01(spec: RunSpec) -> int:
     points = spec.grid_points if spec.grid_points is not None else 400
     grid = np.linspace(0.0, 0.6 * spec.timescales.tau_revival, points)
-    levels = {"e": [(LEVEL_E, "")], "g": [(LEVEL_G, "")],
-              "both": [(LEVEL_E, "_e"), (LEVEL_G, "_g")]}[spec.initial_level]
+    # Each initial level is a diagonal atom with excited population 1 or 0.
+    levels = {"e": [(1.0, "")], "g": [(0.0, "")],
+              "both": [(1.0, "_e"), (0.0, "_g")]}[spec.initial_level]
     n_max = spec.prep().n_max
     fieldnames = ["t"]
     for _, suffix in levels:
@@ -287,9 +287,9 @@ def cmd_fig_rho01(spec: RunSpec) -> int:
     rows = []
     for t in grid:
         row: dict = {"t": float(t)}
-        for level, suffix in levels:
-            num = coherence_from_propagator(float(t), spec.alpha, spec.params,
-                                            level, n_max)
+        for pe, suffix in levels:
+            num = evolve_atom_field_mixture(AtomDensity(pe), spec.alpha, float(t),
+                                            spec.params, n_max).rho01
             row[f"re_num{suffix}"] = num.real
             row[f"im_num{suffix}"] = num.imag
         ana = rho01_analytic(float(t), spec.n_bar, spec.params, spec.phi)

@@ -7,9 +7,18 @@ The resonant Hamiltonian (natural units, ``omega = delta_e``) is
 which is block diagonal in the excitation number: ``|g,0>`` is stationary
 with energy 0, and each pair ``{|e,n>, |g,n+1>}`` shares the bare energy
 ``omega (n+1)`` and mixes at the vacuum-shifted Rabi angle
-``theta = g sqrt(n+1) t``. :func:`propagate` applies the closed-form block
-propagator; :func:`hamiltonian_matrix` builds the dense ``H`` whose matrix
-exponential serves as the independent oracle for it.
+``theta = g sqrt(n+1) t``.
+
+Three routes to the same physics, each held to the next:
+
+* :func:`evolve_atom_field_mixture` is the reduced-state kernel the pipeline
+  runs: the closed photon-number series for a diagonal atom and a coherent
+  field, evaluated over real cos/sin vectors.
+* :func:`coherence_from_propagator` is its cross-check: :func:`propagate`
+  applies the closed-form block propagator to the joint pure state and
+  :func:`~cavitytherm.hilbert.partial_trace_field` traces the field out.
+* :func:`hamiltonian_matrix` builds the dense ``H`` whose matrix
+  exponential is the independent oracle for :func:`propagate`.
 
 All phases are lab-frame (no interaction picture), so the reduced coherence
 ``rho01 = <g|rho|e>`` rotates as ``exp(+i omega t)`` on top of the slow
@@ -18,8 +27,8 @@ envelope dynamics.
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -29,9 +38,9 @@ from .hilbert import (
     AtomDensity,
     JointPureState,
     PhysicalParams,
+    check_norm_deficit,
     coherent_amplitudes,
     default_cutoff,
-    mix_densities,
     partial_trace_field,
     poisson_weight,
     product_state,
@@ -151,125 +160,63 @@ def energy_expectation(state: JointPureState) -> float:
 def evolve_atom_field_mixture(atom: AtomDensity, alpha: complex, t: float,
                               params: PhysicalParams | None = None,
                               n_max: int | None = None) -> AtomDensity:
-    """Reduced atomic state after evolving ``atom (x) |alpha><alpha|`` for ``t``.
+    """Reduced state of a diagonal atom after time ``t`` with a coherent field.
 
-    The atomic density is eigendecomposed into (at most two) pure states,
-    each joint pure state is propagated with the closed-form blocks, and the
-    reduced results are remixed with the eigenvalue weights.
+    This is the package's reduced-state kernel. For
+    ``atom = p |e><e| + (1 - p) |g><g|`` and ``|alpha> = sum c_n |n>`` with
+    Poisson weights ``w_n = |c_n|^2``, ``a_n = sqrt(w_n)`` and
+    ``phi = arg(alpha)``, propagating each block ``{|e,n>, |g,n+1>}`` and
+    tracing out the field gives, with ``C_k, S_k = cos, sin(g sqrt(k) t)``,
+
+        rho11 = p sum w_n C_{n+1}^2 + (1 - p) sum w_n S_n^2
+        rho01 = i exp(i (omega t - phi))
+                * sum a_n a_{n+1} ((1 - p) C_n S_{n+1} - p S_{n+1} C_{n+2})
+
+    over ``0 <= n <= n_max``. The top ``|e, n_max>`` amplitude has no
+    partner inside the truncation and keeps its bare phase, so
+    ``C_{n_max+1} = 1``. The lab-frame phases of adjacent blocks differ by
+    ``omega t``, so one carrier replaces a complex exponential per photon
+    number. :func:`coherence_from_propagator` (propagate and partial trace)
+    is the cross-check of this series. The norm deficit of the truncated
+    field is folded into the ground population, within the bounds of
+    :func:`~cavitytherm.hilbert.check_norm_deficit`.
     """
-    params = params or PhysicalParams()
-    alpha = complex(alpha)
+    if atom.rho01 != 0:
+        raise ValueError(
+            f"the atom must be diagonal (thermal), got rho01 = {atom.rho01}")
     if t == 0.0:
         # Zero evolution is the identity. Echo the input bit-exactly: the
-        # decompose/propagate/remix path below leaves ~1e-16 dust in rho11,
-        # enough to turn a maximally mixed atom's infinite temperature into
-        # a finite ~1e15 reading.
+        # series leaves ~1e-16 dust in rho11, enough to turn a maximally
+        # mixed atom's infinite temperature into a finite ~1e15 reading.
         return atom
-    if n_max is None:
-        n_max = default_cutoff(abs(alpha) ** 2)
-    field = coherent_amplitudes(alpha, n_max)
-
-    evals, evecs = np.linalg.eigh(atom.as_matrix())
-    weights, reduced = [], []
-    for k in range(2):
-        w = float(evals[k])
-        if w < 1e-15:
-            continue
-        v = evecs[:, k]  # components (g, e)
-        amps = np.zeros(2 * (n_max + 1), dtype=np.complex128)
-        amps[LEVEL_G::2] = v[0] * field
-        amps[LEVEL_E::2] = v[1] * field
-        evolved = propagate(JointPureState(amps, params), t)
-        weights.append(w)
-        reduced.append(partial_trace_field(evolved))
-    weights = np.asarray(weights)
-    return mix_densities(weights / weights.sum(), reduced)
-
-
-def _default_rabi(g: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda n: rabi_splitting(n, g)
-
-
-def rho01_exact_summand(n, t: float, alpha: complex,
-                        params: PhysicalParams | None = None,
-                        initial_level: int = LEVEL_E,
-                        rabi_frequency: Callable[[np.ndarray], np.ndarray] | None = None):
-    """Photon-number-resolved term of the exact reduced-coherence series.
-
-    For an initial ``|level> (x) |alpha>`` product state the coherence
-    ``rho01(t) = <g|rho|e>`` is an exact sum over photon numbers of terms
-    built from sums and differences of adjacent dressed splittings. With
-    ``w(n)`` the Poisson weight and ``W_n`` the splitting at photon number
-    ``n``, the term at ``n >= 1`` is
-
-        initial e:  -i w(n) (sqrt(n) / (2 alpha)) exp(+i omega t)
-                    * ( sin((W_{n+1} + W_n) t / 2) - sin((W_{n+1} - W_n) t / 2) )
-        initial g:  +i w(n) (sqrt(n) / (2 alpha)) exp(+i omega t)
-                    * ( sin((W_n + W_{n-1}) t / 2) + sin((W_n - W_{n-1}) t / 2) )
-
-    and the ``n = 0`` term vanishes. ``rabi_frequency`` overrides the
-    splitting function ``W`` (default :func:`rabi_splitting` with the
-    configured coupling); it exists so consistency checks can demonstrate
-    that any other convention breaks the series-vs-propagator identity.
-
-    Accepts scalar or array ``n``; returns a complex scalar or array.
-    """
     params = params or PhysicalParams()
     alpha = complex(alpha)
-    if initial_level not in (LEVEL_G, LEVEL_E):
-        raise ValueError(f"initial_level must be 0 (g) or 1 (e), got {initial_level}")
-    n_arr = np.asarray(n, dtype=float)
-    if alpha == 0:
-        # Vacuum limit: every term carries a Poisson weight that vanishes
-        # for n >= 1 and a sqrt(n) factor that kills n = 0, so the series
-        # is identically zero; avoid the 1/alpha division.
-        out = np.zeros(n_arr.shape, dtype=np.complex128)
-        return complex(out) if np.isscalar(n) else out
-    rabi = rabi_frequency if rabi_frequency is not None else _default_rabi(params.g)
     n_bar = abs(alpha) ** 2
-    w = poisson_weight(n_arr, n_bar)
-    carrier = np.exp(1j * params.omega * t)
-    prefactor = np.sqrt(n_arr) / (2.0 * alpha) * w * carrier
-    omega_n = rabi(n_arr)
-    if initial_level == LEVEL_E:
-        omega_up = rabi(n_arr + 1.0)
-        osc = np.sin((omega_up + omega_n) * t / 2.0) - np.sin((omega_up - omega_n) * t / 2.0)
-        term = -1j * prefactor * osc
-    else:
-        omega_dn = rabi(np.maximum(n_arr - 1.0, 0.0))
-        osc = np.sin((omega_n + omega_dn) * t / 2.0) + np.sin((omega_n - omega_dn) * t / 2.0)
-        term = 1j * prefactor * osc
-    term = np.where(n_arr >= 1, term, 0.0 + 0.0j)
-    return complex(term) if np.isscalar(n) else term
-
-
-def rho01_exact_sum(t: float, alpha: complex,
-                    params: PhysicalParams | None = None,
-                    initial_level: int = LEVEL_E,
-                    n_max: int | None = None,
-                    rabi_frequency: Callable[[np.ndarray], np.ndarray] | None = None) -> complex:
-    """Exact reduced coherence as the full photon-number series.
-
-    Sums :func:`rho01_exact_summand` over ``1 <= n <= n_max`` (default
-    cutoff from the mean photon number). Matches the partial trace of the
-    propagated joint state to well below 1e-10 with the default splitting
-    convention.
-    """
-    alpha = complex(alpha)
     if n_max is None:
-        n_max = default_cutoff(abs(alpha) ** 2)
-    if n_max < 1:
-        return 0j
-    n = np.arange(1, n_max + 1)
-    terms = rho01_exact_summand(n, t, alpha, params, initial_level, rabi_frequency)
-    return complex(np.sum(terms))
+        n_max = default_cutoff(n_bar)
+    w = poisson_weight(np.arange(n_max + 1), n_bar)
+    check_norm_deficit(1.0 - float(np.sum(w)))
+    theta = (params.g * t) * np.sqrt(np.arange(n_max + 2.0))
+    c = np.cos(theta)
+    c[-1] = 1.0
+    s = np.sin(theta[:-1])
+    p = atom.rho11
+    rho11 = p * np.dot(w, c[1:] ** 2) + (1.0 - p) * np.dot(w, s ** 2)
+    a = np.sqrt(w)
+    envelope = np.dot(a[:-1] * a[1:], s[1:] * ((1.0 - p) * c[:-2] - p * c[2:]))
+    carrier = cmath.exp(1j * (params.omega * t - cmath.phase(alpha)))
+    return AtomDensity(rho11, 1j * carrier * envelope)
 
 
 def coherence_from_propagator(t: float, alpha: complex,
                               params: PhysicalParams | None = None,
                               initial_level: int = LEVEL_E,
                               n_max: int | None = None) -> complex:
-    """Reduced coherence via propagate + partial trace (series cross-check)."""
+    """Reduced coherence via propagate + partial trace.
+
+    The cross-check of the series in :func:`evolve_atom_field_mixture`, for
+    the atom started in ``initial_level``.
+    """
     params = params or PhysicalParams()
     alpha = complex(alpha)
     if n_max is None:

@@ -15,7 +15,6 @@ Conventions used across the package (natural units, hbar = k_B = 1):
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,10 +52,10 @@ class PhysicalParams:
     g: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.delta_e > 0:
-            raise ValueError(f"delta_e must be positive, got {self.delta_e}")
-        if not self.g > 0:
-            raise ValueError(f"g must be positive, got {self.g}")
+        if not 0 < self.delta_e < math.inf:
+            raise ValueError(f"delta_e must be positive and finite, got {self.delta_e}")
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"g must be positive and finite, got {self.g}")
 
     @property
     def omega(self) -> float:
@@ -157,14 +156,17 @@ def _log_poisson_weight(n: np.ndarray, n_bar: float) -> np.ndarray:
     with ``d = (n_bar - m) / m``, which is small where the weight is, minus
     the Stirling remainder of ``m!`` and ``log(2 pi m) / 2``. It is taken at
     ``m = n + 1``, which is never 0, and stepped back with
-    ``log w(n) = log w(m) + log(m / n_bar)``.
+    ``log w(n) = log w(m) + log(m / n_bar)``. Where ``n_bar < m / 2``,
+    ``log1p(d)`` is taken as ``log(n_bar / m)``: ``n_bar - m`` keeps only
+    the leading digits of a small ``n_bar`` (none below ``1e-16``).
     """
     m = n + 1.0
     d = (n_bar - m) / m
+    log_ratio = np.where(d < -0.5, np.log(n_bar / m), np.log1p(np.maximum(d, -0.5)))
     r2 = 1.0 / (m * m)
     series = (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188)))) / m
     remainder = np.where(m > 15, series, _STIRLING_TABLE[np.minimum(m, 15).astype(np.intp)])
-    return (m * (np.log1p(d) - d) - remainder + 0.5 * np.log(m)
+    return (m * (log_ratio - d) - remainder + 0.5 * np.log(m)
             - (_HALF_LOG_2PI + math.log(n_bar)))
 
 
@@ -189,24 +191,17 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 
     ``|c_n|^2`` is :func:`poisson_weight`, evaluated in log space so large
     ``n_bar`` can neither overflow a factorial nor overshoot unit norm; the
-    truncated vector is returned as-is (not renormalized). It is read-only
-    and shared between calls with the same arguments: a sweep asks for the
-    same field at every grid point.
+    truncated vector is returned as-is (not renormalized), and each call
+    returns a new array.
     """
-    return _coherent_amplitudes(complex(alpha), int(n_max))
-
-
-@functools.lru_cache(maxsize=4)
-def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1, dtype=float)
+    alpha = complex(alpha)
     n_bar = abs(alpha) ** 2
     if n_bar == 0.0:
         amps = np.zeros(n_max + 1, dtype=np.complex128)
         amps[0] = 1.0
-    else:
-        amps = np.exp(0.5 * _log_poisson_weight(n, n_bar) + 1j * cmath.phase(alpha) * n)
-    amps.setflags(write=False)
-    return amps
+        return amps
+    n = np.arange(n_max + 1, dtype=float)
+    return np.exp(0.5 * _log_poisson_weight(n, n_bar) + 1j * cmath.phase(alpha) * n)
 
 
 @dataclass(frozen=True)
@@ -226,6 +221,8 @@ class CoherentPrep:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.cutoff is None:
             object.__setattr__(self, "cutoff", FockCutoff.for_n_bar(self.n_bar))
         self.cutoff.check(self.n_bar)
@@ -362,25 +359,22 @@ def partial_trace_field(state: JointPureState) -> AtomDensity:
     psi_e = state.level_amplitudes(LEVEL_E)
     rho11 = float(np.sum(np.abs(psi_e) ** 2))
     rho01 = complex(np.sum(psi_g * np.conj(psi_e)))
-    # A truncated input can be short of unit norm by the tail deficit; fold
-    # the deficit into the ground population so the trace is exactly 1.
-    deficit = 1.0 - float(np.sum(np.abs(psi_g) ** 2)) - rho11
+    check_norm_deficit(1.0 - float(np.sum(np.abs(psi_g) ** 2)) - rho11)
+    return AtomDensity(rho11, rho01)
+
+
+def check_norm_deficit(deficit: float) -> None:
+    """Reject a joint-state norm deficit beyond truncation tail size.
+
+    A truncated state can be short of unit norm by the coherent tail mass;
+    reduced states fold that deficit into the ground population so the
+    trace is exactly 1. A larger deficit, or an excess, is an error.
+    """
     if deficit < -1e-9 or deficit > 1e-6:
         raise ValueError(
             f"joint state norm deviates from 1 by {deficit:.3e}; "
             "refusing to normalize silently"
         )
-    return AtomDensity(rho11, rho01)
-
-
-def mix_densities(weights, densities) -> AtomDensity:
-    """Convex combination of atomic density matrices."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.size == 0 or abs(weights.sum() - 1.0) > 1e-12 or np.any(weights < 0):
-        raise ValueError("weights must be non-negative and sum to 1")
-    rho11 = sum(w * d.rho11 for w, d in zip(weights, densities))
-    rho01 = sum(w * d.rho01 for w, d in zip(weights, densities))
-    return AtomDensity(rho11, rho01)
 
 
 def thermal_atom(beta: float, delta_e: float = 1.0) -> AtomDensity:

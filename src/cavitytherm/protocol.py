@@ -116,16 +116,23 @@ class ProtocolConfig:
             )
         if self.initial_pe is not None and not 0.0 <= self.initial_pe <= 1.0:
             raise ValueError(f"initial_pe must lie in [0, 1], got {self.initial_pe}")
-        if self.interaction_time < 0:
+        # initial_beta = +/-inf is a ground or fully inverted atom.
+        if self.initial_beta is not None and math.isnan(self.initial_beta):
+            raise ValueError("initial_beta must not be NaN")
+        if not 0 <= self.interaction_time < math.inf:
             raise ValueError(
-                f"interaction_time must be non-negative, got {self.interaction_time}"
+                f"interaction_time must be non-negative and finite, got "
+                f"{self.interaction_time}"
             )
         if self.pulse_mode not in PULSE_MODES:
             raise ValueError(
                 f"pulse_mode must be one of {PULSE_MODES}, got {self.pulse_mode!r}"
             )
-        if self.pulse_residual_tolerance <= 0:
-            raise ValueError("pulse_residual_tolerance must be positive")
+        if not 0 < self.pulse_residual_tolerance < math.inf:
+            raise ValueError(
+                f"pulse_residual_tolerance must be positive and finite, got "
+                f"{self.pulse_residual_tolerance}"
+            )
 
     def initial_atom(self) -> AtomDensity:
         if self.initial_pe is not None:

@@ -213,24 +213,30 @@ def block_structure_preserved() -> tuple[bool, str]:
 
 @_check()
 def coherence_series_matches_trace() -> tuple[bool, str]:
-    """The photon-number coherence series equals the partial-trace coherence.
+    """The reduced-state kernel equals propagate + partial trace.
 
-    Also verifies the check's own sensitivity: injecting a splitting
-    convention of half the true size must break the identity visibly.
+    Compares ``rho11`` and ``rho01`` of the photon-number series in
+    :func:`~cavitytherm.dynamics.evolve_atom_field_mixture` with the traced
+    block propagator for both initial levels. Also verifies the check's own
+    sensitivity: a series run at half the true coupling (a splitting
+    convention of half the true size) must break the identity visibly.
     """
     scales = analytic.Timescales(DEFAULT_N_BAR)
     times = np.linspace(0.0, 0.8 * scales.tau_revival, 50)
     worst = 0.0
+    # The level indices 0 (g) and 1 (e) are also the atoms' excited populations.
     for level in (hilbert.LEVEL_G, hilbert.LEVEL_E):
+        state = hilbert.coherent_joint_state(level, DEFAULT_ALPHA)
         for t in times:
-            series = dynamics.rho01_exact_sum(float(t), DEFAULT_ALPHA,
-                                              initial_level=level)
-            traced = dynamics.coherence_from_propagator(float(t), DEFAULT_ALPHA,
-                                                        initial_level=level)
-            worst = max(worst, abs(series - traced))
+            series = dynamics.evolve_atom_field_mixture(
+                hilbert.AtomDensity(float(level)), DEFAULT_ALPHA, float(t))
+            traced = hilbert.partial_trace_field(dynamics.propagate(state, float(t)))
+            worst = max(worst, abs(series.rho11 - traced.rho11),
+                        abs(series.rho01 - traced.rho01))
+    halved_g = hilbert.PhysicalParams(g=0.5)
     halved = max(
-        abs(dynamics.rho01_exact_sum(float(t), DEFAULT_ALPHA,
-                                     rabi_frequency=lambda n: np.sqrt(n))
+        abs(dynamics.evolve_atom_field_mixture(
+            hilbert.AtomDensity(1.0), DEFAULT_ALPHA, float(t), halved_g).rho01
             - dynamics.coherence_from_propagator(float(t), DEFAULT_ALPHA))
         for t in times[1:]
     )
@@ -305,6 +311,7 @@ def closed_form_coherence_accuracy() -> tuple[bool, str]:
     times = np.linspace(scales.collapse_complete,
                         scales.half_revival - scales.collapse_complete, 300)
     worst = 0.0
+    # The level indices 0 (g) and 1 (e) are also the atoms' excited populations.
     for level in (hilbert.LEVEL_G, hilbert.LEVEL_E):
         state = hilbert.coherent_joint_state(level, DEFAULT_ALPHA)
         for t in times:
@@ -349,6 +356,7 @@ def population_settles_to_half() -> tuple[bool, str]:
     """Excited population saturates at 1/2 over ``[3 tau_c, 0.8 tau_r]``."""
     scales = analytic.Timescales(DEFAULT_N_BAR)
     worst = 0.0
+    # The level indices 0 (g) and 1 (e) are also the atoms' excited populations.
     for level in (hilbert.LEVEL_G, hilbert.LEVEL_E):
         state = hilbert.coherent_joint_state(level, DEFAULT_ALPHA)
         for t in np.linspace(scales.collapse_complete, 0.8 * scales.tau_revival, 50):

@@ -172,8 +172,9 @@ def test_collapse_root_linearization_and_ceiling_monotonicity():
 def test_independent_oracles_agree():
     """Block propagator vs dense matrix exponential, and series vs partial trace.
 
-    Fidelity deficit <= 1e-6 at the half revival; the photon-number
-    coherence series matches the traced propagator to 1e-10 at 50 times.
+    Fidelity deficit <= 1e-6 at the half revival; the reduced-state
+    kernel's photon-number series matches the traced propagator (rho11 and
+    rho01, both initial levels) to 1e-10 at 50 times.
     """
     state = hilbert.coherent_joint_state(LEVEL_E, ALPHA)
     t_half = SCALES.half_revival
@@ -184,10 +185,14 @@ def test_independent_oracles_agree():
     deficit = max(0.0, 1.0 - (overlap / (blocks.norm * np.linalg.norm(dense))) ** 2)
     assert deficit <= 1e-6, f"fidelity deficit {deficit:.2e} exceeds 1e-6"
 
-    for t in np.linspace(0.0, 0.8 * SCALES.tau_revival, 50):
-        series = dynamics.rho01_exact_sum(float(t), ALPHA)
-        traced = dynamics.coherence_from_propagator(float(t), ALPHA)
-        assert abs(series - traced) <= 1e-10
+    for level in (LEVEL_G, LEVEL_E):
+        joint = hilbert.coherent_joint_state(level, ALPHA)
+        for t in np.linspace(0.0, 0.8 * SCALES.tau_revival, 50):
+            series = dynamics.evolve_atom_field_mixture(
+                hilbert.AtomDensity(float(level)), ALPHA, float(t))
+            traced = hilbert.partial_trace_field(dynamics.propagate(joint, float(t)))
+            assert abs(series.rho11 - traced.rho11) <= 1e-10
+            assert abs(series.rho01 - traced.rho01) <= 1e-10
 
 
 def test_structural_invariants():

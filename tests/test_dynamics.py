@@ -2,7 +2,8 @@
 
 Oracle ordering matters here: the dense Hamiltonian and scipy's matrix
 exponential of it are written and trusted first, then the closed-form block
-propagator and the coherence series are held to them.
+propagator is held to them, and the reduced-state kernel to the traced
+propagator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitytherm import dynamics, hilbert
+from cavitytherm import dynamics, hilbert, protocol
+from cavitytherm.analytic import Timescales
 from cavitytherm.hilbert import LEVEL_E, LEVEL_G, PhysicalParams
 
 
@@ -141,17 +143,29 @@ class TestApplyHamiltonian:
         assert dynamics.energy_expectation(state) == pytest.approx(dense, abs=1e-12)
 
 
+def kernel_state(p_e: float, alpha: complex, t: float,
+                 params: PhysicalParams | None = None) -> hilbert.AtomDensity:
+    return dynamics.evolve_atom_field_mixture(hilbert.AtomDensity(p_e), alpha, t, params)
+
+
+def traced_state(level: int, alpha: complex, t: float,
+                 params: PhysicalParams | None = None) -> hilbert.AtomDensity:
+    joint = hilbert.coherent_joint_state(level, alpha, params)
+    return hilbert.partial_trace_field(dynamics.propagate(joint, t))
+
+
 class TestCoherenceSeries:
+    """The reduced-state kernel's series vs propagate + partial trace."""
+
     @pytest.mark.parametrize("initial_level", [LEVEL_E, LEVEL_G])
     @pytest.mark.parametrize("alpha", [2.0, 6.0 * np.exp(1j * 0.6)])
     def test_series_matches_propagator(self, initial_level, alpha):
         params = PhysicalParams()
         for t in (0.0, 1.0, 4.24, 10.0, 30.0):
-            series = dynamics.rho01_exact_sum(
-                t, alpha, params, initial_level=initial_level)
-            direct = dynamics.coherence_from_propagator(
-                t, alpha, params, initial_level=initial_level)
-            assert series == pytest.approx(direct, abs=1e-10)
+            series = kernel_state(float(initial_level), alpha, t, params)
+            direct = traced_state(initial_level, alpha, t, params)
+            assert series.rho11 == pytest.approx(direct.rho11, abs=1e-10)
+            assert series.rho01 == pytest.approx(direct.rho01, abs=1e-10)
 
     def test_excited_state_at_zero_time_in_a_bright_field(self):
         # At n_bar = 1e4 the truncated field's norm must not exceed 1, or
@@ -161,27 +175,26 @@ class TestCoherenceSeries:
 
     def test_wrong_splitting_convention_breaks_identity(self):
         params = PhysicalParams()
-        halved = lambda n: params.g * np.sqrt(n)  # noqa: E731
+        halved = PhysicalParams(g=params.g / 2.0)
         t, alpha = 4.0, 2.0
-        series = dynamics.rho01_exact_sum(t, alpha, params, rabi_frequency=halved)
+        series = kernel_state(1.0, alpha, t, halved).rho01
         direct = dynamics.coherence_from_propagator(t, alpha, params)
         assert abs(series - direct) > 1e-3
 
     def test_vacuum_guard_returns_zero(self):
-        assert dynamics.rho01_exact_summand(3, 1.0, 0.0) == 0j
-        arr = dynamics.rho01_exact_summand(np.arange(5), 1.0, 0.0)
-        np.testing.assert_array_equal(arr, np.zeros(5, dtype=complex))
-        assert dynamics.rho01_exact_sum(1.0, 0.0) == 0j
+        # An empty field carries no coherence; the excited atom undergoes
+        # vacuum Rabi oscillation cos^2(g t).
+        params = PhysicalParams(g=0.8)
+        for t in (0.3, 1.0, 4.0):
+            rho = kernel_state(1.0, 0.0, t, params)
+            assert rho.rho01 == 0j
+            assert rho.rho11 == pytest.approx(math.cos(params.g * t) ** 2, abs=1e-15)
 
     def test_zeroth_term_vanishes(self):
-        assert dynamics.rho01_exact_summand(0, 2.0, 2.0) == 0j
-
-    def test_empty_series_is_zero(self):
-        assert dynamics.rho01_exact_sum(1.0, 2.0, n_max=0) == 0j
-
-    def test_bad_level_rejected(self):
-        with pytest.raises(ValueError):
-            dynamics.rho01_exact_summand(1, 1.0, 2.0, initial_level=7)
+        # |g,0> is stationary: a ground atom in the vacuum never excites.
+        rho = kernel_state(0.0, 0.0, 2.0)
+        assert rho.rho11 == 0.0
+        assert rho.rho01 == 0j
 
 
 class TestMixtureEvolution:
@@ -189,29 +202,58 @@ class TestMixtureEvolution:
         params = PhysicalParams()
         alpha = 2.0 * np.exp(1j * 0.3)
         t = 3.1
-        mixed = dynamics.evolve_atom_field_mixture(
-            hilbert.AtomDensity(1.0), alpha, t, params)
-        joint = hilbert.coherent_joint_state(LEVEL_E, alpha, params)
-        direct = hilbert.partial_trace_field(dynamics.propagate(joint, t))
+        mixed = kernel_state(1.0, alpha, t, params)
+        direct = traced_state(LEVEL_E, alpha, t, params)
         assert mixed.rho11 == pytest.approx(direct.rho11, abs=1e-12)
         assert mixed.rho01 == pytest.approx(direct.rho01, abs=1e-12)
 
     def test_diagonal_mixture_is_convex_combination(self):
         params = PhysicalParams()
         alpha, t, pe0 = 2.0, 2.6, 0.3
-        mixed = dynamics.evolve_atom_field_mixture(
-            hilbert.AtomDensity(pe0), alpha, t, params)
-        branch = {}
-        for level in (LEVEL_G, LEVEL_E):
-            joint = hilbert.coherent_joint_state(level, alpha, params)
-            branch[level] = hilbert.partial_trace_field(dynamics.propagate(joint, t))
-        expected = hilbert.mix_densities(
-            [1.0 - pe0, pe0], [branch[LEVEL_G], branch[LEVEL_E]])
-        assert mixed.rho11 == pytest.approx(expected.rho11, abs=1e-12)
-        assert mixed.rho01 == pytest.approx(expected.rho01, abs=1e-12)
+        mixed = kernel_state(pe0, alpha, t, params)
+        ground = traced_state(LEVEL_G, alpha, t, params)
+        excited = traced_state(LEVEL_E, alpha, t, params)
+        assert mixed.rho11 == pytest.approx(
+            (1.0 - pe0) * ground.rho11 + pe0 * excited.rho11, abs=1e-12)
+        assert mixed.rho01 == pytest.approx(
+            (1.0 - pe0) * ground.rho01 + pe0 * excited.rho01, abs=1e-12)
 
-    def test_coherent_atom_input_supported(self):
+    def test_coherent_atom_input_rejected(self):
         atom = hilbert.atom_density_from_bloch([0.6, 0.0, 0.0])
-        out = dynamics.evolve_atom_field_mixture(atom, 1.5, 1.0)
-        assert 0.0 <= out.rho11 <= 1.0
-        assert out.determinant >= -1e-12
+        with pytest.raises(ValueError, match="diagonal"):
+            dynamics.evolve_atom_field_mixture(atom, 1.5, 1.0)
+
+    def test_too_small_cutoff_rejected(self):
+        # n_max = 5 drops about 0.21 of the Poisson mass at n_bar = 9.
+        with pytest.raises(ValueError, match="norm deviates"):
+            dynamics.evolve_atom_field_mixture(hilbert.AtomDensity(1.0), 3.0, 1.0, n_max=5)
+
+
+class TestKernelProperties:
+    """Physicality of the kernel over bright fields and several revivals."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # Uniform draws land almost all above 1e4; the log-uniform half
+        # reaches the dim fields the trace comparison covers.
+        n_bar=st.one_of(st.floats(0.0, 1e5, exclude_min=True, allow_subnormal=False),
+                        st.floats(-3.0, 5.0).map(lambda u: 10.0 ** u)),
+        frac=st.floats(0.0, 3.0),
+        p_e=st.floats(0.0, 1.0),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_state_is_physical_and_matches_trace(self, n_bar, frac, p_e, phi):
+        alpha = math.sqrt(n_bar) * complex(math.cos(phi), math.sin(phi))
+        t = frac * Timescales(n_bar).tau_revival
+        rho = kernel_state(p_e, alpha, t)
+        assert rho.rho00 + rho.rho11 == 1.0
+        assert rho.determinant >= -1e-12
+        assert abs(rho.rho01) <= 0.5
+        config = protocol.ProtocolConfig(
+            prep=hilbert.CoherentPrep(alpha), interaction_time=t, initial_pe=p_e)
+        assert protocol.run_protocol(config).reading.pe <= 0.5
+        if n_bar <= 1e4:
+            ground = traced_state(LEVEL_G, alpha, t)
+            excited = traced_state(LEVEL_E, alpha, t)
+            assert abs(rho.rho11 - ((1.0 - p_e) * ground.rho11 + p_e * excited.rho11)) <= 1e-9
+            assert abs(rho.rho01 - ((1.0 - p_e) * ground.rho01 + p_e * excited.rho01)) <= 1e-9

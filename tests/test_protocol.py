@@ -121,6 +121,21 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             make_config(1.0, pulse_residual_tolerance=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("interaction_time", math.nan),
+        ("interaction_time", math.inf),
+        ("initial_beta", math.nan),
+        ("pulse_residual_tolerance", math.nan),
+        ("pulse_residual_tolerance", math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_config(1.0, **{field: value})
+
+    @pytest.mark.parametrize("beta, pe", [(math.inf, 0.0), (-math.inf, 1.0)])
+    def test_infinite_beta_is_a_pure_level(self, beta, pe):
+        assert make_config(1.0, initial_beta=beta).initial_atom().rho11 == pe
+
     def test_initial_atom(self):
         thermal = make_config(1.0).initial_atom()
         assert thermal.rho11 == pytest.approx(1.0 / (1.0 + math.e))
