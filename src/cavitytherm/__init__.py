@@ -19,34 +19,27 @@ from .analytic import (
     ValidityWarning,
     collapse_condition_time,
     collapse_envelope,
-    coupling_from_dipole,
     lambert_w0,
     pe_after_pulse_analytic,
     pe_half_revival,
     rabi_difference_approx,
     rho01_analytic,
     rho11_analytic,
-    sqrt_n_expansion,
     t_max,
     t_min,
     temperature_from_pe,
 )
 from .dynamics import (
-    apply_hamiltonian,
     coherence_from_propagator,
-    dressed_pair,
-    energy_expectation,
     evolve_atom_field_mixture,
     hamiltonian_matrix,
     propagate,
-    rabi_splitting,
 )
 from .hilbert import (
     LEVEL_E,
     LEVEL_G,
     AtomDensity,
     CoherentPrep,
-    FockCutoff,
     JointPureState,
     PhysicalParams,
     TruncationError,
@@ -59,7 +52,6 @@ from .hilbert import (
     partial_trace_field,
     poisson_weight,
     product_state,
-    required_cutoff,
     thermal_atom,
     trace_distance,
 )
@@ -79,21 +71,19 @@ from .validation import CheckResult, ValidationReport, run_all_checks
 __all__ = [
     "__version__",
     "AtomDensity", "CheckResult", "CoherentPrep", "CollapseTime",
-    "FockCutoff", "JointPureState", "LEVEL_E", "LEVEL_G", "PhysicalParams",
+    "JointPureState", "LEVEL_E", "LEVEL_G", "PhysicalParams",
     "ProtocolConfig", "ProtocolResult", "SweepPoint", "TemperatureReading",
     "Timescales", "TruncationError", "ValidationReport", "ValidityFlags",
     "ValidityWarning",
-    "apply_hamiltonian", "atom_density_from_bloch", "bloch_vector",
+    "atom_density_from_bloch", "bloch_vector",
     "coherence_from_propagator", "coherent_amplitudes",
     "coherent_joint_state", "coherent_tail_mass", "collapse_condition_time",
-    "collapse_envelope", "cooling_axis_azimuth", "coupling_from_dipole",
-    "default_cutoff", "dressed_pair", "energy_expectation",
+    "collapse_envelope", "cooling_axis_azimuth", "default_cutoff",
     "evolve_atom_field_mixture", "hamiltonian_matrix",
     "initial_state_independence", "lambert_w0",
     "partial_trace_field", "pe_after_pulse_analytic", "pe_half_revival",
     "pi_half_pulse", "poisson_weight", "product_state", "propagate",
-    "rabi_difference_approx", "rabi_splitting", "required_cutoff",
-    "rho01_analytic", "rho11_analytic", "run_all_checks",
-    "run_protocol", "sqrt_n_expansion", "sweep_interaction_time", "t_max",
+    "rabi_difference_approx", "rho01_analytic", "rho11_analytic",
+    "run_all_checks", "run_protocol", "sweep_interaction_time", "t_max",
     "t_min", "temperature_from_pe", "thermal_atom", "trace_distance",
 ]

@@ -160,21 +160,6 @@ def pe_after_pulse_analytic(t, n_bar: float,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def sqrt_n_expansion(n, n_bar: float):
-    """First-order expansion of ``sqrt(n)`` about ``n = n_bar``.
-
-    ``sqrt(n_bar) + (n - n_bar) / (2 sqrt(n_bar))``: the linearization that
-    turns the photon-number spread into the Gaussian collapse envelope. Not
-    guarded against evaluation far from the mean, where it is poor.
-    """
-    if n_bar <= 0:
-        raise ValueError(f"n_bar must be positive, got {n_bar}")
-    n = np.asarray(n, dtype=float)
-    root = math.sqrt(n_bar)
-    out = root + (n - n_bar) / (2.0 * root)
-    return float(out) if out.ndim == 0 else out
-
-
 def rabi_difference_approx(n, n_bar: float, g: float = 1.0,
                            order: str = "leading"):
     """Approximate adjacent-splitting gap ``2 g (sqrt(n+1) - sqrt(n))``.
@@ -421,15 +406,3 @@ def t_max(n_bar: float, delta_e: float = 1.0, variant: str = "numeric",
         f"variant must be one of {T_MAX_VARIANTS}, got {variant!r}"
     )
 
-
-def coupling_from_dipole(dipole: float, omega: float, volume: float,
-                         permittivity: float = 1.0, hbar: float = 1.0) -> float:
-    """Atom-field coupling from the dipole moment and mode volume.
-
-    ``g = dipole * sqrt(omega / (hbar * permittivity * volume))``: the
-    vacuum field amplitude of a mode of frequency ``omega`` confined to
-    ``volume``, times the transition dipole.
-    """
-    if min(dipole, omega, volume, permittivity, hbar) <= 0:
-        raise ValueError("all inputs must be positive")
-    return dipole * math.sqrt(omega / (hbar * permittivity * volume))

@@ -7,10 +7,6 @@ or ``--out``; temperatures are in units of ``delta_e`` (``delta_e / k_B``)
 and times in ``1/g``, as stated in the CSV header comment. Exit codes:
 0 success, 1 validation-suite failure, 2 usage or configuration error,
 3 numeric failure.
-
-All code paths are single-threaded and deterministic; ``--serial`` is
-accepted for compatibility with scripted callers and pins the same
-reference path that is always used, so output is byte-stable either way.
 """
 
 from __future__ import annotations
@@ -28,14 +24,7 @@ import numpy as np
 from . import __version__
 from .analytic import Timescales, rho01_analytic, t_max, t_min
 from .dynamics import evolve_atom_field_mixture
-from .hilbert import (
-    AtomDensity,
-    CoherentPrep,
-    FockCutoff,
-    PhysicalParams,
-    TruncationError,
-    bloch_vector,
-)
+from .hilbert import AtomDensity, CoherentPrep, PhysicalParams, bloch_vector
 from .protocol import ProtocolConfig, run_protocol, sweep_interaction_time
 from .validation import run_all_checks
 
@@ -110,7 +99,6 @@ class RunSpec:
     pulse_mode: str = "explicit_unitary"
     fmt: str = "csv"
     out: str | None = None
-    serial: bool = False
     n_bar_given: bool = False
 
     def __post_init__(self) -> None:
@@ -158,9 +146,7 @@ class RunSpec:
         return Timescales(self.n_bar, self.g)
 
     def prep(self) -> CoherentPrep:
-        if self.cutoff is not None:
-            return CoherentPrep(self.alpha, FockCutoff(self.cutoff))
-        return CoherentPrep(self.alpha)
+        return CoherentPrep(self.alpha, self.cutoff)
 
     def protocol_config(self, t: float | None = None) -> ProtocolConfig:
         kwargs: dict = dict(
@@ -239,8 +225,11 @@ def _write_output(spec: RunSpec, fieldnames: list[str], rows: list[dict]) -> Non
     if spec.out is None or spec.out == "-":
         sys.stdout.write(text)
     else:
-        with open(spec.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(spec.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {spec.out}: {exc}") from exc
 
 
 def _result_row(t: float, result) -> dict:
@@ -395,8 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], dest="fmt")
-        p.add_argument("--serial", action="store_true",
-                       help="force the single-threaded reference path")
         p.add_argument("--n-bar", type=float, dest="n_bar",
                        help="mean photon number (fig-tmin/fig-tmax: single-point grid)")
         p.add_argument("--g", type=float, help="atom-field coupling")
@@ -423,18 +410,12 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
         settings.update(parse_config_file(args.config))
     for key in ("n_bar", "g", "delta_e", "phi", "time", "pe0", "cutoff",
                 "grid_points", "initial_level", "pulse_mode", "fmt", "out"):
-        flag_value = getattr(args, key if key != "fmt" else "fmt", None)
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
     if "format" in settings:
         settings["fmt"] = settings.pop("format")
-    n_bar_given = "n_bar" in settings
-    return RunSpec(
-        command=args.command,
-        serial=bool(args.serial),
-        n_bar_given=n_bar_given,
-        **settings,
-    )
+    return RunSpec(command=args.command, n_bar_given="n_bar" in settings, **settings)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -442,13 +423,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _build_spec(args)
+        return _COMMANDS[spec.command](spec)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[spec.command](spec)
-    except (TruncationError, ArithmeticError, FloatingPointError,
-            ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -47,15 +47,6 @@ from .hilbert import (
 )
 
 
-def rabi_splitting(n, g: float):
-    """Dressed-level splitting ``2 g sqrt(n)`` at photon number ``n``.
-
-    This is the frequency of the population oscillation fed by the ``n``-th
-    Fock component; scalar or array ``n`` accepted.
-    """
-    return 2.0 * g * np.sqrt(n)
-
-
 def hamiltonian_matrix(params: PhysicalParams, n_max: int) -> np.ndarray:
     """Dense joint Hamiltonian on the truncated space (test/reference use).
 
@@ -74,32 +65,6 @@ def hamiltonian_matrix(params: PhysicalParams, n_max: int) -> np.ndarray:
         h[i, j] = g * math.sqrt(n + 1)
         h[j, i] = g * math.sqrt(n + 1)
     return h
-
-
-def dressed_pair(n: int, params: PhysicalParams, n_max: int
-                 ) -> tuple[tuple[float, JointPureState], tuple[float, JointPureState]]:
-    """Energy eigenpair ``(|+, n>, |-, n>)`` of the n-excitation block.
-
-    For ``n >= 1`` the eigenstates are ``(|g,n> +/- |e,n-1>) / sqrt(2)`` with
-    energies ``omega n +/- g sqrt(n)``; their splitting is
-    :func:`rabi_splitting`.
-    """
-    if not 1 <= n <= n_max:
-        raise ValueError(f"dressed pairs exist for 1 <= n <= n_max, got n={n}")
-    dim = 2 * (n_max + 1)
-    plus = np.zeros(dim, dtype=np.complex128)
-    minus = np.zeros(dim, dtype=np.complex128)
-    r = 1.0 / math.sqrt(2.0)
-    plus[2 * n + LEVEL_G] = r
-    plus[2 * (n - 1) + LEVEL_E] = r
-    minus[2 * n + LEVEL_G] = r
-    minus[2 * (n - 1) + LEVEL_E] = -r
-    e_plus = params.omega * n + params.g * math.sqrt(n)
-    e_minus = params.omega * n - params.g * math.sqrt(n)
-    return (
-        (e_plus, JointPureState(plus, params)),
-        (e_minus, JointPureState(minus, params)),
-    )
 
 
 def propagate(state: JointPureState, t: float) -> JointPureState:
@@ -132,29 +97,6 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
         np.exp(-1j * omega * (n_max + 1.0) * t) * amps[2 * n_max + LEVEL_E]
     )
     return JointPureState(out, params)
-
-
-def apply_hamiltonian(amps: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Matrix-free ``H @ amps`` on the truncated space (vectorized)."""
-    omega, g = params.omega, params.g
-    n_max = amps.size // 2 - 1
-    n = np.arange(n_max + 1)
-    a_g = amps[LEVEL_G::2]
-    a_e = amps[LEVEL_E::2]
-    out = np.empty_like(amps)
-    out_g = omega * n * a_g
-    out_g[1:] += g * np.sqrt(n[1:]) * a_e[:-1]
-    out_e = omega * (n + 1.0) * a_e
-    out_e[:-1] += g * np.sqrt(n[1:]) * a_g[1:]
-    out[LEVEL_G::2] = out_g
-    out[LEVEL_E::2] = out_e
-    return out
-
-
-def energy_expectation(state: JointPureState) -> float:
-    """Expectation value of the joint Hamiltonian (real by Hermiticity)."""
-    amps = state.amplitudes
-    return float(np.real(np.vdot(amps, apply_hamiltonian(amps, state.params))))
 
 
 def evolve_atom_field_mixture(atom: AtomDensity, alpha: complex, t: float,

@@ -9,7 +9,10 @@ Conventions used across the package (natural units, hbar = k_B = 1):
 * The atomic coherence is stored as ``rho01 = <g|rho|e>``, so the Bloch
   components are ``x = 2 Re rho01``, ``y = 2 Im rho01``, ``z = 2 rho11 - 1``.
 * Truncated coherent-state amplitude vectors are never renormalized; the
-  missing tail mass is tracked explicitly and checked against a tolerance.
+  missing tail mass is tracked explicitly. :class:`CoherentPrep` is the one
+  place a Fock cutoff is validated, against ``DEFAULT_TAIL_TOLERANCE``.
+* Poisson weights and tail masses both come from the log-space weights of
+  :func:`_log_poisson_weight` (Loader, 2000), so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc
 
 LEVEL_G = 0
 LEVEL_E = 1
@@ -78,63 +80,6 @@ def default_cutoff(n_bar: float) -> int:
     return math.ceil(n_bar + 12.0 * math.sqrt(n_bar) + 20.0 - 1e-6)
 
 
-def coherent_tail_mass(n_bar: float, n_max: int) -> float:
-    """Poisson probability mass above ``n_max`` for mean ``n_bar``.
-
-    This is the norm deficit of a coherent amplitude vector truncated at
-    ``n_max`` (survival function of a Poisson variable, evaluated via the
-    regularized lower incomplete gamma function).
-    """
-    if n_bar == 0.0:
-        return 0.0
-    return float(gammainc(n_max + 1, n_bar))
-
-
-def required_cutoff(n_bar: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE) -> int:
-    """Smallest cutoff whose coherent tail mass is within ``tail_tolerance``."""
-    if not 0 < tail_tolerance < 1:
-        raise ValueError(f"tail_tolerance must lie in (0, 1), got {tail_tolerance}")
-    hi = max(default_cutoff(n_bar), 1)
-    while coherent_tail_mass(n_bar, hi) > tail_tolerance:
-        hi *= 2
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if coherent_tail_mass(n_bar, mid) <= tail_tolerance:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
-@dataclass(frozen=True)
-class FockCutoff:
-    """Validated Fock-space truncation for a given mean photon number."""
-
-    n_max: int
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
-
-    def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be non-negative, got {self.n_max}")
-
-    @classmethod
-    def for_n_bar(
-        cls, n_bar: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
-    ) -> "FockCutoff":
-        return cls(n_max=default_cutoff(n_bar), tail_tolerance=tail_tolerance)
-
-    def check(self, n_bar: float) -> None:
-        """Raise :class:`TruncationError` if the cutoff is too small for ``n_bar``."""
-        tail = coherent_tail_mass(n_bar, self.n_max)
-        if tail > self.tail_tolerance:
-            raise TruncationError(
-                f"insufficient truncation: n_max={self.n_max} leaves tail mass "
-                f"{tail:.3e} > {self.tail_tolerance:.3e} for n_bar={n_bar}; "
-                f"need n_max >= {required_cutoff(n_bar, self.tail_tolerance)}"
-            )
-
-
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Stirling remainder log(m!) - (m + 1/2) log m + m - log(2 pi)/2 at
@@ -186,6 +131,41 @@ def poisson_weight(n, n_bar: float):
     return float(out) if np.isscalar(n) else out
 
 
+def coherent_tail_mass(n_bar: float, n_max: int) -> float:
+    """Poisson probability mass above ``n_max`` for mean ``n_bar``.
+
+    This is the norm deficit of a coherent amplitude vector truncated at
+    ``n_max``. Past the mean it sums the weights of
+    :func:`_log_poisson_weight` over ``n_max < n <= n_max + 1 + 10 sqrt(n_bar)
+    + 40``, which leaves out less than ``1e-20`` of the tail. Where
+    ``n_max + 1 <= n_bar`` the tail is at least one half, so ``1 - sum(head)``
+    loses nothing to cancellation.
+    """
+    if n_bar == 0.0:
+        return 0.0
+    if n_max + 1 <= n_bar:
+        head = np.exp(_log_poisson_weight(np.arange(n_max + 1.0), n_bar))
+        return 1.0 - math.fsum(head)
+    width = math.ceil(10.0 * math.sqrt(n_bar) + 40.0)
+    n = np.arange(n_max + 1.0, n_max + 2.0 + width)
+    return math.fsum(np.exp(_log_poisson_weight(n, n_bar)))
+
+
+def _required_cutoff(n_bar: float) -> int:
+    """Smallest cutoff whose coherent tail mass is within the tolerance."""
+    hi = max(default_cutoff(n_bar), 1)
+    while coherent_tail_mass(n_bar, hi) > DEFAULT_TAIL_TOLERANCE:
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if coherent_tail_mass(n_bar, mid) <= DEFAULT_TAIL_TOLERANCE:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     """Fock amplitudes ``c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!)`` up to ``n_max``.
 
@@ -206,26 +186,36 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoherentPrep:
-    """A coherent field preparation with a validated truncation.
+    """A coherent field preparation with a validated Fock truncation.
 
     Parameters
     ----------
     alpha : complex
         Coherent amplitude; ``n_bar = |alpha|^2`` and ``phi = arg(alpha)``.
-    cutoff : FockCutoff, optional
-        Truncation to use. Defaults to :func:`default_cutoff` for ``n_bar``.
+    n_max : int, optional
+        Fock cutoff. Defaults to :func:`default_cutoff` for ``n_bar``. A
+        cutoff that leaves more than ``DEFAULT_TAIL_TOLERANCE`` of tail mass
+        raises :class:`TruncationError` naming the smallest one that does not.
     """
 
     alpha: complex
-    cutoff: FockCutoff = None  # type: ignore[assignment]
+    n_max: int = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.cutoff is None:
-            object.__setattr__(self, "cutoff", FockCutoff.for_n_bar(self.n_bar))
-        self.cutoff.check(self.n_bar)
+        if self.n_max is None:
+            object.__setattr__(self, "n_max", default_cutoff(self.n_bar))
+        if self.n_max < 0:
+            raise ValueError(f"n_max must be non-negative, got {self.n_max}")
+        tail = self.tail_mass()
+        if tail > DEFAULT_TAIL_TOLERANCE:
+            raise TruncationError(
+                f"insufficient truncation: n_max={self.n_max} leaves tail mass "
+                f"{tail:.3e} > {DEFAULT_TAIL_TOLERANCE:.3e} for n_bar={self.n_bar}; "
+                f"need n_max >= {_required_cutoff(self.n_bar)}"
+            )
 
     @property
     def n_bar(self) -> float:
@@ -234,10 +224,6 @@ class CoherentPrep:
     @property
     def phi(self) -> float:
         return float(np.angle(self.alpha))
-
-    @property
-    def n_max(self) -> int:
-        return self.cutoff.n_max
 
     def field_amplitudes(self) -> np.ndarray:
         return coherent_amplitudes(self.alpha, self.n_max)
@@ -295,14 +281,9 @@ def product_state(level: int, field_amps: np.ndarray,
 
 def coherent_joint_state(level: int, alpha: complex,
                          params: PhysicalParams | None = None,
-                         n_max: int | None = None,
-                         tail_tolerance: float = DEFAULT_TAIL_TOLERANCE) -> JointPureState:
+                         n_max: int | None = None) -> JointPureState:
     """Atom level tensored with a truncation-validated coherent field state."""
-    n_bar = abs(complex(alpha)) ** 2
-    cutoff = (FockCutoff(n_max, tail_tolerance) if n_max is not None
-              else FockCutoff(default_cutoff(n_bar), tail_tolerance))
-    prep = CoherentPrep(alpha, cutoff)
-    return product_state(level, prep.field_amplitudes(), params)
+    return product_state(level, CoherentPrep(alpha, n_max).field_amplitudes(), params)
 
 
 @dataclass(frozen=True)
@@ -335,10 +316,6 @@ class AtomDensity:
     @property
     def determinant(self) -> float:
         return self.rho00 * self.rho11 - abs(self.rho01) ** 2
-
-    @property
-    def purity(self) -> float:
-        return self.rho00 ** 2 + self.rho11 ** 2 + 2.0 * abs(self.rho01) ** 2
 
     def eigenvalues(self) -> tuple[float, float]:
         """Eigenvalue pair ``(smallest, largest)``; they sum to 1."""

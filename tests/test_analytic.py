@@ -173,25 +173,6 @@ class TestPeAfterPulseAnalytic:
             analytic.pe_after_pulse_analytic(5.0, 36.0)
 
 
-class TestSqrtNExpansion:
-    def test_exact_at_mean(self):
-        assert analytic.sqrt_n_expansion(36.0, 36.0) == pytest.approx(6.0)
-
-    def test_two_sigma_error_budget(self):
-        out = analytic.sqrt_n_expansion(120.0, 100.0)
-        assert out == pytest.approx(11.0, abs=1e-12)
-        assert abs(out - math.sqrt(120.0)) < 0.05
-
-    def test_far_from_mean_documented_value(self):
-        assert analytic.sqrt_n_expansion(0.0, 36.0) == pytest.approx(3.0)
-
-    def test_array_and_validation(self):
-        out = analytic.sqrt_n_expansion(np.array([36.0, 49.0]), 36.0)
-        assert out.shape == (2,)
-        with pytest.raises(ValueError):
-            analytic.sqrt_n_expansion(1.0, 0.0)
-
-
 class TestRabiDifferenceApprox:
     def test_leading_order(self):
         assert analytic.rabi_difference_approx(30.0, 36.0, g=2.0) == pytest.approx(
@@ -395,18 +376,3 @@ class TestTMax:
         with pytest.raises(ValueError, match="variant"):
             analytic.t_max(36.0, variant="exact")
 
-
-class TestCouplingFromDipole:
-    def test_unit_inputs(self):
-        assert analytic.coupling_from_dipole(1.0, 1.0, 1.0) == 1.0
-
-    def test_scaling_laws(self):
-        base = analytic.coupling_from_dipole(2.0, 3.0, 5.0)
-        assert analytic.coupling_from_dipole(2.0, 3.0, 20.0) == pytest.approx(base / 2.0)
-        assert analytic.coupling_from_dipole(2.0, 12.0, 5.0) == pytest.approx(base * 2.0)
-
-    def test_positive_inputs_required(self):
-        with pytest.raises(ValueError):
-            analytic.coupling_from_dipole(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            analytic.coupling_from_dipole(1.0, 1.0, -2.0)

@@ -136,7 +136,7 @@ class TestRunCommand:
         assert rows[0]["inverted"] == "false"
 
     def test_output_is_byte_stable(self, capsys):
-        args = ("run", "--time", "9", "--serial")
+        args = ("run", "--time", "9")
         code_a, out_a, _ = run_cli(capsys, *args)
         code_b, out_b, _ = run_cli(capsys, *args)
         assert code_a == code_b == 0
@@ -182,6 +182,14 @@ class TestRunCommand:
         _, rows = parse_csv(target.read_text(encoding="utf-8"))
         assert len(rows) == 1
 
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "run.csv"
+        code, out, err = run_cli(capsys, "run", "--time", "9", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+        assert len(err.splitlines()) == 1
+
     def test_nonpositive_coupling_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--g", "-1")
         assert code == 2
@@ -200,6 +208,7 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--time", "1", "--cutoff", "5")
         assert code == 3
         assert "numeric failure" in err
+        assert "need n_max >= 86" in err
 
 
 class TestFigRho01:
@@ -355,13 +364,22 @@ class TestValidate:
         assert rows and all(type(r["passed"]) is bool for r in rows)
         assert code == (0 if all(r["passed"] for r in rows) else 1)
 
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_all_checks",
+                            lambda: validation.run_all_checks(include_slow=False))
+        target = tmp_path / "missing" / "report.csv"
+        code, _, err = run_cli(capsys, "validate", "--out", str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}")
+        assert len(err.splitlines()) == 1
+
 
 def test_cli_import_loads_no_oracle_modules():
-    # The dense-matrix oracle is imported inside its check, so a cold CLI
-    # start pays for neither scipy.linalg nor scipy.sparse.
+    # The dense-matrix oracle is imported inside its check and the Poisson
+    # tail is summed in-package, so a cold CLI start loads no scipy at all.
     code = ("import sys, cavitytherm.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.linalg', 'scipy.sparse'))))")
+            "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"

@@ -67,44 +67,75 @@ class TestVacuumRabi:
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
+def dressed_vector(n: int, sign: float, n_max: int) -> np.ndarray:
+    """``(|g,n> + sign |e,n-1>) / sqrt(2)``, the dressed state of block n."""
+    amps = np.zeros(2 * (n_max + 1), dtype=complex)
+    amps[2 * n + LEVEL_G] = 1.0 / math.sqrt(2.0)
+    amps[2 * (n - 1) + LEVEL_E] = sign / math.sqrt(2.0)
+    return amps
+
+
 class TestDressedStates:
+    """Dressed states of the dense H: energies omega n +/- g sqrt(n)."""
+
     @pytest.mark.parametrize("n", [1, 2, 9])
     def test_eigenpair_relation(self, n):
         params = PhysicalParams(delta_e=1.7, g=0.4)
         n_max = 12
         h = dynamics.hamiltonian_matrix(params, n_max)
-        for energy, state in dynamics.dressed_pair(n, params, n_max):
-            np.testing.assert_allclose(
-                h @ state.amplitudes, energy * state.amplitudes, atol=1e-12)
+        for sign in (1.0, -1.0):
+            vec = dressed_vector(n, sign, n_max)
+            energy = params.omega * n + sign * params.g * math.sqrt(n)
+            np.testing.assert_allclose(h @ vec, energy * vec, atol=1e-12)
 
     def test_energies_and_splitting(self):
-        params = PhysicalParams(delta_e=1.0, g=0.5)
-        (e_plus, _), (e_minus, _) = dynamics.dressed_pair(4, params, 6)
-        assert e_plus == pytest.approx(4.0 + 0.5 * 2.0)
-        assert e_minus == pytest.approx(4.0 - 0.5 * 2.0)
-        assert e_plus - e_minus == pytest.approx(dynamics.rabi_splitting(4, params.g))
+        # Spectrum: |g,0> at 0, each block n at omega n +/- g sqrt(n) (split
+        # by 2 g sqrt(n)), and the partnerless |e,n_max> at omega (n_max+1).
+        params = PhysicalParams(delta_e=1.3, g=0.5)
+        n_max = 8
+        n = np.arange(1, n_max + 1)
+        root = params.g * np.sqrt(n)
+        expected = np.sort(np.concatenate((
+            [0.0, params.omega * (n_max + 1)],
+            params.omega * n + root, params.omega * n - root)))
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(dynamics.hamiltonian_matrix(params, n_max)),
+            expected, atol=1e-12)
 
     def test_orthonormal(self):
-        params = PhysicalParams()
-        (_, plus), (_, minus) = dynamics.dressed_pair(3, params, 5)
-        assert abs(np.vdot(plus.amplitudes, minus.amplitudes)) <= 1e-14
-        assert plus.norm == pytest.approx(1.0, abs=1e-14)
-        assert minus.norm == pytest.approx(1.0, abs=1e-14)
+        # The dressed pairs and the two unpaired levels form an orthonormal
+        # basis in which H is diagonal.
+        params = PhysicalParams(delta_e=1.1, g=0.6)
+        n_max = 5
+        basis = [np.eye(1, 2 * (n_max + 1), LEVEL_G).ravel(),
+                 np.eye(1, 2 * (n_max + 1), 2 * n_max + LEVEL_E).ravel()]
+        basis += [dressed_vector(n, sign, n_max)
+                  for n in range(1, n_max + 1) for sign in (1.0, -1.0)]
+        v = np.column_stack(basis)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-14)
+        h = v.conj().T @ dynamics.hamiltonian_matrix(params, n_max) @ v
+        np.testing.assert_allclose(h, np.diag(np.diag(h)), atol=1e-14)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            dynamics.dressed_pair(0, PhysicalParams(), 5)
-        with pytest.raises(ValueError):
-            dynamics.dressed_pair(6, PhysicalParams(), 5)
+    def test_unpaired_levels_are_eigenstates(self):
+        # n = 0 and n = n_max + 1 have no partner: |g,0> and |e,n_max> are
+        # eigenstates on their own, at 0 and omega (n_max + 1).
+        params = PhysicalParams(delta_e=1.3, g=0.7)
+        n_max = 4
+        h = dynamics.hamiltonian_matrix(params, n_max)
+        vacuum = np.eye(1, 2 * (n_max + 1), LEVEL_G).ravel()
+        top = np.eye(1, 2 * (n_max + 1), 2 * n_max + LEVEL_E).ravel()
+        np.testing.assert_allclose(h @ vacuum, 0.0, atol=1e-15)
+        np.testing.assert_allclose(h @ top, params.omega * (n_max + 1) * top, atol=1e-14)
 
     def test_stationary_under_propagation_up_to_phase(self):
         params = PhysicalParams(delta_e=1.0, g=0.3)
         t = 2.2
-        for energy, state in dynamics.dressed_pair(2, params, 4):
-            out = dynamics.propagate(state, t)
+        for sign in (1.0, -1.0):
+            vec = dressed_vector(2, sign, 4)
+            energy = params.omega * 2 + sign * params.g * math.sqrt(2.0)
+            out = dynamics.propagate(hilbert.JointPureState(vec, params), t)
             np.testing.assert_allclose(
-                out.amplitudes, np.exp(-1j * energy * t) * state.amplitudes,
-                atol=1e-13)
+                out.amplitudes, np.exp(-1j * energy * t) * vec, atol=1e-13)
 
 
 class TestConservationProperties:
@@ -112,10 +143,11 @@ class TestConservationProperties:
     @given(t=st.floats(0.0, 50.0), seed=st.integers(0, 10_000))
     def test_norm_and_energy_conserved(self, t, seed):
         state = random_joint_state(6, seed=seed)
+        h = dynamics.hamiltonian_matrix(state.params, 6)
         out = dynamics.propagate(state, t)
         assert out.norm == pytest.approx(1.0, abs=1e-12)
-        assert dynamics.energy_expectation(out) == pytest.approx(
-            dynamics.energy_expectation(state), abs=1e-10)
+        assert np.vdot(out.amplitudes, h @ out.amplitudes).real == pytest.approx(
+            np.vdot(state.amplitudes, h @ state.amplitudes).real, abs=1e-10)
 
     @settings(max_examples=30, deadline=None)
     @given(t=st.floats(0.0, 20.0), s=st.floats(0.0, 20.0))
@@ -124,23 +156,6 @@ class TestConservationProperties:
         both = dynamics.propagate(state, t + s)
         stepped = dynamics.propagate(dynamics.propagate(state, t), s)
         np.testing.assert_allclose(stepped.amplitudes, both.amplitudes, atol=1e-11)
-
-
-class TestApplyHamiltonian:
-    def test_matches_dense_matrix(self):
-        params = PhysicalParams(delta_e=0.9, g=1.4)
-        state = random_joint_state(11, seed=3, params=params)
-        dense = dynamics.hamiltonian_matrix(params, 11) @ state.amplitudes
-        np.testing.assert_allclose(
-            dynamics.apply_hamiltonian(state.amplitudes, params), dense, atol=1e-13)
-
-    def test_energy_expectation_matches_dense(self):
-        params = PhysicalParams(delta_e=0.9, g=1.4)
-        state = random_joint_state(8, seed=21, params=params)
-        dense = float(np.real(np.vdot(
-            state.amplitudes,
-            dynamics.hamiltonian_matrix(params, 8) @ state.amplitudes)))
-        assert dynamics.energy_expectation(state) == pytest.approx(dense, abs=1e-12)
 
 
 def kernel_state(p_e: float, alpha: complex, t: float,

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,21 +88,47 @@ class TestCoherentAmplitudes:
         assert deficit == pytest.approx(hilbert.coherent_tail_mass(36.0, n_max), rel=1e-10)
 
 
+def tail_grid() -> list[tuple[float, int]]:
+    """n_bar from 1e-12 to 1e5, cutoffs at 0, the mean, +/-3 sigma and the default."""
+    cases = []
+    for n_bar in (1e-12, 1e-6, 0.5, 3.0, 36.0, 177.8, 1e3, 1e4, 1e5):
+        sigma = math.sqrt(n_bar)
+        cutoffs = {0, math.floor(n_bar - 3 * sigma), math.floor(n_bar),
+                   math.floor(n_bar + 3 * sigma), hilbert.default_cutoff(n_bar)}
+        cases += [(n_bar, n_max) for n_max in sorted(cutoffs) if n_max >= 0]
+    return cases
+
+
+class TestCoherentTailMass:
+    @pytest.mark.parametrize("n_bar, n_max", tail_grid())
+    def test_matches_incomplete_gamma(self, n_bar, n_max):
+        # P(N > n_max) is the regularized lower incomplete gamma function;
+        # every tail on the grid is above 1e-290 (the smallest is 8.9e-286).
+        # Stop at 1e5: gammainc itself drifts by ~1e-6 relative near 1e6.
+        expected = float(scipy.special.gammainc(n_max + 1, n_bar))
+        assert hilbert.coherent_tail_mass(n_bar, n_max) == pytest.approx(expected, rel=1e-12)
+
+    def test_vacuum_has_no_tail(self):
+        assert hilbert.coherent_tail_mass(0.0, 0) == 0.0
+
+
 class TestCutoffs:
     def test_default_rule_value(self):
         assert hilbert.default_cutoff(36.0) == math.ceil(36 + 12 * 6 + 20)
 
     def test_required_is_minimal(self):
-        tol = 1e-12
-        need = hilbert.required_cutoff(36.0, tol)
-        assert hilbert.coherent_tail_mass(36.0, need) <= tol
-        assert hilbert.coherent_tail_mass(36.0, need - 1) > tol
+        # The cutoff named in the error is the smallest one CoherentPrep accepts.
+        with pytest.raises(hilbert.TruncationError, match=r"need n_max >= (\d+)") as exc:
+            hilbert.CoherentPrep(6.0, 40)
+        need = int(re.search(r"need n_max >= (\d+)", str(exc.value)).group(1))
+        assert hilbert.CoherentPrep(6.0, need).tail_mass() <= hilbert.DEFAULT_TAIL_TOLERANCE
+        with pytest.raises(hilbert.TruncationError):
+            hilbert.CoherentPrep(6.0, need - 1)
         assert need <= hilbert.default_cutoff(36.0)
 
     def test_check_raises_with_required_cutoff_named(self):
-        cutoff = hilbert.FockCutoff(n_max=40)
         with pytest.raises(hilbert.TruncationError, match=r"need n_max >= \d+"):
-            cutoff.check(36.0)
+            hilbert.CoherentPrep(6.0, n_max=40)
 
     def test_cutoff_does_not_depend_on_field_phase(self):
         # |alpha|^2 picks up last-bit rounding that depends on the phase.
@@ -123,7 +151,17 @@ class TestCoherentPrep:
 
     def test_insufficient_cutoff_rejected(self):
         with pytest.raises(hilbert.TruncationError):
-            hilbert.CoherentPrep(6.0, hilbert.FockCutoff(n_max=45))
+            hilbert.CoherentPrep(6.0, n_max=45)
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            hilbert.CoherentPrep(0.0, n_max=-1)
+
+    def test_joint_state_takes_the_same_truncation(self):
+        state = hilbert.coherent_joint_state(hilbert.LEVEL_G, 6.0, n_max=90)
+        assert state.n_max == 90
+        with pytest.raises(hilbert.TruncationError):
+            hilbert.coherent_joint_state(hilbert.LEVEL_G, 6.0, n_max=45)
 
 
 class TestJointPureState:
@@ -232,7 +270,7 @@ class TestBlochMaps:
     def test_unit_vector_is_pure(self):
         rho = hilbert.atom_density_from_bloch([0.0, 1.0, 0.0])
         assert rho.eigenvalues()[0] == pytest.approx(0.0, abs=1e-15)
-        assert rho.purity == pytest.approx(1.0, abs=1e-15)
+        assert rho.determinant == pytest.approx(0.0, abs=1e-15)
 
 
 class TestTraceDistance:
