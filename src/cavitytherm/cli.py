@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import Timescales, rho01_analytic, t_max, t_min
-from .dynamics import evolve_atom_field_mixture
+from .dynamics import FieldStep
 from .hilbert import AtomDensity, CoherentPrep, PhysicalParams, bloch_vector
 from .protocol import ProtocolConfig, run_protocol, sweep_interaction_time
 from .validation import run_all_checks
@@ -268,7 +268,9 @@ def cmd_fig_rho01(spec: RunSpec) -> int:
     # Each initial level is a diagonal atom with excited population 1 or 0.
     levels = {"e": [(1.0, "")], "g": [(0.0, "")],
               "both": [(1.0, "_e"), (0.0, "_g")]}[spec.initial_level]
-    n_max = spec.prep().n_max
+    prep = spec.prep()
+    field_step = FieldStep(prep.alpha, spec.params, prep.n_max)
+    atoms = [(AtomDensity(pe), suffix) for pe, suffix in levels]
     fieldnames = ["t"]
     for _, suffix in levels:
         fieldnames += [f"re_num{suffix}", f"im_num{suffix}"]
@@ -276,9 +278,8 @@ def cmd_fig_rho01(spec: RunSpec) -> int:
     rows = []
     for t in grid:
         row: dict = {"t": float(t)}
-        for pe, suffix in levels:
-            num = evolve_atom_field_mixture(AtomDensity(pe), spec.alpha, float(t),
-                                            spec.params, n_max).rho01
+        for atom, suffix in atoms:
+            num = field_step.evolve(atom, float(t)).rho01
             row[f"re_num{suffix}"] = num.real
             row[f"im_num{suffix}"] = num.imag
         ana = rho01_analytic(float(t), spec.n_bar, spec.params, spec.phi)

@@ -13,7 +13,9 @@ Three routes to the same physics, each held to the next:
 
 * :func:`evolve_atom_field_mixture` is the reduced-state kernel the pipeline
   runs: the closed photon-number series for a diagonal atom and a coherent
-  field, evaluated over real cos/sin vectors.
+  field, evaluated over real cos/sin vectors. Its field half,
+  :class:`FieldStep`, is built once per field; its per-time half,
+  :meth:`FieldStep.evolve`, is what a sweep repeats.
 * :func:`coherence_from_propagator` is its cross-check: :func:`propagate`
   applies the closed-form block propagator to the joint pure state and
   :func:`~cavitytherm.hilbert.partial_trace_field` traces the field out.
@@ -99,6 +101,65 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
     return JointPureState(out, params)
 
 
+def check_interaction_time(t: float) -> None:
+    """Reject an interaction time that is negative, infinite or NaN."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"interaction_time must be non-negative and finite, got {t}")
+
+
+class FieldStep:
+    """The field half of :func:`evolve_atom_field_mixture`, built once per field.
+
+    Holds what the series needs of a coherent field ``alpha`` truncated at
+    ``n_max``: the Poisson weights ``w_n``, the products ``a_n a_{n+1}`` of
+    their square roots, the table ``sqrt(k)`` for ``0 <= k <= n_max + 1``
+    and ``arg(alpha)``, with the norm deficit checked on construction.
+    :meth:`evolve` is the per-time step; it depends on the atom and ``t``
+    only, so one field step serves every time and initial atom of a sweep
+    or figure.
+    """
+
+    __slots__ = ("g", "omega", "phase", "weights", "pairs", "root_k")
+
+    def __init__(self, alpha: complex, params: PhysicalParams | None = None,
+                 n_max: int | None = None) -> None:
+        params = params or PhysicalParams()
+        alpha = complex(alpha)
+        n_bar = abs(alpha) ** 2
+        if n_max is None:
+            n_max = default_cutoff(n_bar)
+        w = poisson_weight(np.arange(n_max + 1), n_bar)
+        check_norm_deficit(1.0 - float(np.sum(w)))
+        a = np.sqrt(w)
+        self.g, self.omega = params.g, params.omega
+        self.phase = cmath.phase(alpha)
+        self.weights = w
+        self.pairs = a[:-1] * a[1:]
+        self.root_k = np.sqrt(np.arange(n_max + 2.0))
+
+    def evolve(self, atom: AtomDensity, t: float) -> AtomDensity:
+        """Reduced state of the diagonal ``atom`` after time ``t`` in this field."""
+        if atom.rho01 != 0:
+            raise ValueError(
+                f"the atom must be diagonal (thermal), got rho01 = {atom.rho01}")
+        check_interaction_time(t)
+        if t == 0.0:
+            # Zero evolution is the identity. Echo the input bit-exactly: the
+            # series leaves ~1e-16 dust in rho11, enough to turn a maximally
+            # mixed atom's infinite temperature into a finite ~1e15 reading.
+            return atom
+        w = self.weights
+        theta = (self.g * t) * self.root_k
+        c = np.cos(theta)
+        c[-1] = 1.0
+        s = np.sin(theta[:-1])
+        p = atom.rho11
+        rho11 = p * np.dot(w, c[1:] ** 2) + (1.0 - p) * np.dot(w, s ** 2)
+        envelope = np.dot(self.pairs, s[1:] * ((1.0 - p) * c[:-2] - p * c[2:]))
+        carrier = cmath.exp(1j * (self.omega * t - self.phase))
+        return AtomDensity(rho11, 1j * carrier * envelope)
+
+
 def evolve_atom_field_mixture(atom: AtomDensity, alpha: complex, t: float,
                               params: PhysicalParams | None = None,
                               n_max: int | None = None) -> AtomDensity:
@@ -122,32 +183,12 @@ def evolve_atom_field_mixture(atom: AtomDensity, alpha: complex, t: float,
     is the cross-check of this series. The norm deficit of the truncated
     field is folded into the ground population, within the bounds of
     :func:`~cavitytherm.hilbert.check_norm_deficit`.
+
+    One call is one :class:`FieldStep` and one :meth:`FieldStep.evolve`;
+    callers that evolve one field over many times or atoms build the field
+    step once themselves. ``t`` must be non-negative and finite.
     """
-    if atom.rho01 != 0:
-        raise ValueError(
-            f"the atom must be diagonal (thermal), got rho01 = {atom.rho01}")
-    if t == 0.0:
-        # Zero evolution is the identity. Echo the input bit-exactly: the
-        # series leaves ~1e-16 dust in rho11, enough to turn a maximally
-        # mixed atom's infinite temperature into a finite ~1e15 reading.
-        return atom
-    params = params or PhysicalParams()
-    alpha = complex(alpha)
-    n_bar = abs(alpha) ** 2
-    if n_max is None:
-        n_max = default_cutoff(n_bar)
-    w = poisson_weight(np.arange(n_max + 1), n_bar)
-    check_norm_deficit(1.0 - float(np.sum(w)))
-    theta = (params.g * t) * np.sqrt(np.arange(n_max + 2.0))
-    c = np.cos(theta)
-    c[-1] = 1.0
-    s = np.sin(theta[:-1])
-    p = atom.rho11
-    rho11 = p * np.dot(w, c[1:] ** 2) + (1.0 - p) * np.dot(w, s ** 2)
-    a = np.sqrt(w)
-    envelope = np.dot(a[:-1] * a[1:], s[1:] * ((1.0 - p) * c[:-2] - p * c[2:]))
-    carrier = cmath.exp(1j * (params.omega * t - cmath.phase(alpha)))
-    return AtomDensity(rho11, 1j * carrier * envelope)
+    return FieldStep(alpha, params, n_max).evolve(atom, t)
 
 
 def coherence_from_propagator(t: float, alpha: complex,

@@ -20,13 +20,11 @@ south pole (minimum excited population).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .analytic import TemperatureReading, Timescales, temperature_from_pe
-from .dynamics import evolve_atom_field_mixture
+from .dynamics import FieldStep, check_interaction_time
 from .hilbert import (
     AtomDensity,
     CoherentPrep,
@@ -37,29 +35,29 @@ from .hilbert import (
 
 PULSE_MODES = ("explicit_unitary", "diagonalize")
 
-# Pauli triple in (g, e) row/column ordering, chosen so expectation values
-# reproduce the Bloch convention above and the algebra is right-handed
-# (sigma_x sigma_y = i sigma_z).
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128)
-
 _EIGENVALUE_SLACK = 1e-12
 
 
 def pi_half_pulse(rho: AtomDensity, axis_angle: float) -> AtomDensity:
     """Quarter-turn rotation of the atom about an equatorial Bloch axis.
 
-    Conjugates ``rho`` by ``U = exp(-i (pi/4) n.sigma)`` with
-    ``n = (cos(axis_angle), sin(axis_angle), 0)``: a right-handed rotation
-    of the Bloch sphere by ``pi/2``. Unitary, so the eigenvalues (and Bloch
+    The right-handed rotation of the Bloch vector ``v`` by ``pi/2`` about
+    ``n = (cos(axis_angle), sin(axis_angle), 0)``, in closed form
+    ``v' = (n.v) n + n x v``. It is the conjugation of ``rho`` by
+    ``U = exp(-i (pi/4) n.sigma)``. Unitary, so the eigenvalues (and Bloch
     length) are preserved to rounding; an equatorial Bloch vector
     perpendicular to the axis is carried onto a pole, making the result
-    diagonal.
+    diagonal. In halves of the Bloch components, ``rho01 = (x + i y) / 2``
+    and ``rho11 - 1/2 = z / 2``.
     """
-    axis = math.cos(axis_angle) * _SIGMA_X + math.sin(axis_angle) * _SIGMA_Y
-    u = math.cos(math.pi / 4.0) * np.eye(2) - 1j * math.sin(math.pi / 4.0) * axis
-    rotated = u @ rho.as_matrix() @ u.conj().T
-    return AtomDensity(rho11=float(rotated[1, 1].real), rho01=complex(rotated[0, 1]))
+    cos_a, sin_a = math.cos(axis_angle), math.sin(axis_angle)
+    half_x, half_y = rho.rho01.real, rho.rho01.imag
+    half_z = rho.rho11 - 0.5
+    along = half_x * cos_a + half_y * sin_a
+    return AtomDensity(
+        rho11=0.5 + (half_y * cos_a - half_x * sin_a),
+        rho01=complex(along * cos_a + half_z * sin_a, along * sin_a - half_z * cos_a),
+    )
 
 
 def cooling_axis_azimuth(t: float, phi: float = 0.0,
@@ -119,11 +117,7 @@ class ProtocolConfig:
         # initial_beta = +/-inf is a ground or fully inverted atom.
         if self.initial_beta is not None and math.isnan(self.initial_beta):
             raise ValueError("initial_beta must not be NaN")
-        if not 0 <= self.interaction_time < math.inf:
-            raise ValueError(
-                f"interaction_time must be non-negative and finite, got "
-                f"{self.interaction_time}"
-            )
+        check_interaction_time(self.interaction_time)
         if self.pulse_mode not in PULSE_MODES:
             raise ValueError(
                 f"pulse_mode must be one of {PULSE_MODES}, got {self.pulse_mode!r}"
@@ -162,6 +156,52 @@ class ProtocolResult:
     pulse_residual: float
 
 
+def _point_runner(config: ProtocolConfig):
+    """The protocol as a function of the interaction time alone.
+
+    Builds what does not depend on ``t`` once (the kernel's field step, the
+    initial atom, the timescales, the field phase) and returns the per-point
+    step ``t -> ProtocolResult`` that :func:`run_protocol` calls once and
+    :func:`sweep_interaction_time` once per grid point. The step rejects a
+    bad ``t`` with the same message as :class:`ProtocolConfig`.
+    """
+    prep, physical = config.prep, config.physical
+    field_step = FieldStep(prep.alpha, physical, prep.n_max)
+    atom = config.initial_atom()
+    scales = config.timescales()
+    collapse_complete, half_revival = scales.collapse_complete, scales.half_revival
+    phi = prep.phi
+    explicit = config.pulse_mode == "explicit_unitary"
+
+    def run_point(t: float) -> ProtocolResult:
+        rho_pre = field_step.evolve(atom, t)
+        if explicit:
+            rho_post = pi_half_pulse(rho_pre, cooling_axis_azimuth(t, phi, physical))
+        else:
+            rho_post = AtomDensity(rho11=rho_pre.eigenvalues()[0], rho01=0j)
+        residual = abs(rho_post.rho01)
+
+        pe = rho_post.eigenvalues()[0]
+        if pe < 0.0:
+            if pe < -_EIGENVALUE_SLACK:
+                raise ValueError(f"post-pulse state has negative eigenvalue {pe}")
+            pe = 0.0
+        validity = ValidityFlags(
+            collapse_completed=t >= collapse_complete,
+            within_half_revival=t <= half_revival,
+            pulse_residual_ok=residual <= config.pulse_residual_tolerance,
+        )
+        return ProtocolResult(
+            rho_pre_pulse=rho_pre,
+            rho_post_pulse=rho_post,
+            reading=temperature_from_pe(pe, physical.delta_e),
+            validity=validity,
+            pulse_residual=residual,
+        )
+
+    return run_point
+
+
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Execute the pipeline: interact, trace, pulse, read out.
 
@@ -171,39 +211,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     whether the phase-locked pulse left the state diagonal to within the
     configured tolerance.
     """
-    t = config.interaction_time
-    prep = config.prep
-    rho_pre = evolve_atom_field_mixture(
-        config.initial_atom(), prep.alpha, t, config.physical, prep.n_max
-    )
-
-    if config.pulse_mode == "explicit_unitary":
-        axis = cooling_axis_azimuth(t, prep.phi, config.physical)
-        rho_post = pi_half_pulse(rho_pre, axis)
-    else:
-        rho_post = AtomDensity(rho11=rho_pre.eigenvalues()[0], rho01=0j)
-    residual = abs(rho_post.rho01)
-
-    pe = rho_post.eigenvalues()[0]
-    if pe < 0.0:
-        if pe < -_EIGENVALUE_SLACK:
-            raise ValueError(f"post-pulse state has negative eigenvalue {pe}")
-        pe = 0.0
-    reading = temperature_from_pe(pe, config.physical.delta_e)
-
-    scales = config.timescales()
-    validity = ValidityFlags(
-        collapse_completed=t >= scales.collapse_complete,
-        within_half_revival=t <= scales.half_revival,
-        pulse_residual_ok=residual <= config.pulse_residual_tolerance,
-    )
-    return ProtocolResult(
-        rho_pre_pulse=rho_pre,
-        rho_post_pulse=rho_post,
-        reading=reading,
-        validity=validity,
-        pulse_residual=residual,
-    )
+    return _point_runner(config)(config.interaction_time)
 
 
 @dataclass(frozen=True)
@@ -225,17 +233,31 @@ class SweepPoint:
 
 def sweep_interaction_time(config: ProtocolConfig,
                            t_grid: Sequence[float]) -> list[SweepPoint]:
-    """Run the protocol over an ascending grid of interaction times."""
+    """Run the protocol over an ascending grid of interaction times.
+
+    The field step, initial atom and timescales are built once for the whole
+    grid. A point whose time is rejected (negative, infinite or NaN) records
+    the error and the sweep goes on; NaN points are left out of the
+    ascending check, so they cannot hide a descent around them.
+    """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t_grid must be nonempty")
-    if any(b < a for a, b in zip(t_grid, t_grid[1:])):
+    ordered = [t for t in t_grid if not math.isnan(t)]
+    if any(b < a for a, b in zip(ordered, ordered[1:])):
         raise ValueError("t_grid must be ascending")
+    try:
+        run_point = _point_runner(config)
+    except Exception as exc:  # noqa: BLE001 - the same failure at every point
+        setup_error = str(exc)
+
+        def run_point(t: float) -> ProtocolResult:
+            check_interaction_time(t)
+            raise ValueError(setup_error)
     points: list[SweepPoint] = []
     for t in t_grid:
         try:
-            result = run_protocol(replace(config, interaction_time=t))
-            points.append(SweepPoint(t=t, result=result))
+            points.append(SweepPoint(t=t, result=run_point(t)))
         except Exception as exc:  # noqa: BLE001 - per-point errors are data
             points.append(SweepPoint(t=t, result=None, error=str(exc)))
     return points
@@ -249,16 +271,12 @@ def initial_state_independence(config: ProtocolConfig, t: float,
     ``probe_pes`` and returns the largest trace distance between any two of
     the reduced states: near zero in the collapse window, where the atom has
     forgotten its initial state, and large at ``t = 0`` or near revivals.
+    One field step serves every probe.
     """
     if len(probe_pes) < 2:
         raise ValueError("need at least two probe populations")
-    reduced = [
-        evolve_atom_field_mixture(
-            AtomDensity(rho11=float(pe)), config.prep.alpha, t,
-            config.physical, config.prep.n_max,
-        )
-        for pe in probe_pes
-    ]
+    field_step = FieldStep(config.prep.alpha, config.physical, config.prep.n_max)
+    reduced = [field_step.evolve(AtomDensity(rho11=float(pe)), t) for pe in probe_pes]
     return max(
         trace_distance(a, b)
         for i, a in enumerate(reduced)

@@ -110,10 +110,11 @@ def coherent_amplitudes_match_poisson() -> tuple[bool, str]:
 def evolved_states_are_densities() -> tuple[bool, str]:
     """Partial traces along the pipeline are unit-trace, Hermitian, positive."""
     scales = analytic.Timescales(DEFAULT_N_BAR)
+    field_step = dynamics.FieldStep(DEFAULT_ALPHA)
+    atom = hilbert.thermal_atom(1.0)
     worst_det = math.inf
     for t in np.linspace(0.0, scales.tau_revival, 17):
-        rho = dynamics.evolve_atom_field_mixture(
-            hilbert.thermal_atom(1.0), DEFAULT_ALPHA, float(t))
+        rho = field_step.evolve(atom, float(t))
         worst_det = min(worst_det, rho.determinant)
         if rho.eigenvalues()[0] < -1e-12:
             return False, f"negative eigenvalue at t={t:.3f}"

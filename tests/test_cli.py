@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitytherm import cli, validation
+from cavitytherm import cli, dynamics, validation
 from cavitytherm.analytic import Timescales
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -250,6 +250,15 @@ class TestFigRho01:
             num = np.array([float(r[f"{comp}_num_e"]) for r in rows])
             ana = np.array([float(r[f"{comp}_analytic"]) for r in rows])
             assert np.abs(num - ana)[window].max() <= 0.02
+
+    def test_field_is_built_once_for_both_levels(self, capsys, monkeypatch):
+        calls = []
+        original = dynamics.poisson_weight
+        monkeypatch.setattr(dynamics, "poisson_weight",
+                            lambda n, n_bar: calls.append(n_bar) or original(n, n_bar))
+        code, _, _ = run_cli(capsys, "fig-rho01", "--initial-level", "both")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_grid_spans_expected_range(self, capsys):
         code, out, _ = run_cli(capsys, "fig-rho01", "--grid-points", "10")

@@ -9,6 +9,7 @@ propagator.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,36 @@ class TestMixtureEvolution:
         # n_max = 5 drops about 0.21 of the Poisson mass at n_bar = 9.
         with pytest.raises(ValueError, match="norm deviates"):
             dynamics.evolve_atom_field_mixture(hilbert.AtomDensity(1.0), 3.0, 1.0, n_max=5)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -3.0])
+    def test_bad_time_rejected_without_numpy_warnings(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="interaction_time must be non-negative "
+                                                 "and finite"):
+                dynamics.evolve_atom_field_mixture(hilbert.AtomDensity(0.3), 6.0, t)
+
+
+class TestFieldStep:
+    """One field step serves every time and atom, bit for bit."""
+
+    def test_reuse_matches_the_kernel_bit_for_bit(self):
+        alpha, params = 6.0 * np.exp(1j * 0.8), PhysicalParams(delta_e=1.3, g=0.7)
+        field_step = dynamics.FieldStep(alpha, params)
+        for t in np.linspace(0.0, 40.0, 23):
+            for p_e in (0.0, 0.27, 1.0):
+                atom = hilbert.AtomDensity(p_e)
+                reused = field_step.evolve(atom, float(t))
+                fresh = dynamics.evolve_atom_field_mixture(atom, alpha, float(t), params)
+                assert (reused.rho11, reused.rho01) == (fresh.rho11, fresh.rho01)
+
+    def test_zero_time_echoes_the_atom(self):
+        atom = hilbert.AtomDensity(0.5)
+        assert dynamics.FieldStep(6.0).evolve(atom, 0.0) is atom
+
+    def test_norm_is_checked_once_on_construction(self):
+        with pytest.raises(ValueError, match="norm deviates"):
+            dynamics.FieldStep(3.0, n_max=5)
 
 
 class TestKernelProperties:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitytherm import analytic, protocol
+from cavitytherm import analytic, dynamics, hilbert, protocol
 from cavitytherm.analytic import Timescales
 from cavitytherm.hilbert import (
     AtomDensity,
@@ -38,6 +38,20 @@ def make_config(t: float, **overrides) -> protocol.ProtocolConfig:
 def bounded_bloch(z, frac, ang):
     r = frac * math.sqrt(max(1.0 - z * z, 0.0))
     return atom_density_from_bloch([r * math.cos(ang), r * math.sin(ang), z])
+
+
+# Pauli matrices in (g, e) row/column ordering, matching the Bloch convention
+# x = 2 Re rho01, y = 2 Im rho01 with rho01 = <g|rho|e> (sigma_x sigma_y = i sigma_z).
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128)
+
+
+def pulse_by_matrix(rho: AtomDensity, axis_angle: float) -> AtomDensity:
+    """Oracle: conjugate rho by U = exp(-i (pi/4) n.sigma) as 2x2 matrices."""
+    axis = math.cos(axis_angle) * SIGMA_X + math.sin(axis_angle) * SIGMA_Y
+    u = math.cos(math.pi / 4.0) * np.eye(2) - 1j * math.sin(math.pi / 4.0) * axis
+    rotated = u @ rho.as_matrix() @ u.conj().T
+    return AtomDensity(rho11=float(rotated[1, 1].real), rho01=complex(rotated[0, 1]))
 
 
 class TestPiHalfPulse:
@@ -74,6 +88,20 @@ class TestPiHalfPulse:
         b = protocol.pi_half_pulse(rho, 0.7 + 2.0 * math.pi)
         assert a.rho11 == pytest.approx(b.rho11, abs=1e-14)
         assert a.rho01 == pytest.approx(b.rho01, abs=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=st.floats(-1.0, 1.0),
+        frac=st.floats(0.0, 1.0),
+        ang=st.floats(0.0, 2.0 * math.pi),
+        axis=st.floats(-50.0, 50.0),
+    )
+    def test_closed_form_matches_matrix_oracle(self, z, frac, ang, axis):
+        rho = bounded_bloch(z, frac, ang)
+        got = protocol.pi_half_pulse(rho, axis)
+        want = pulse_by_matrix(rho, axis)
+        assert abs(got.rho11 - want.rho11) <= 1e-15
+        assert abs(got.rho01 - want.rho01) <= 1e-15
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -249,6 +277,57 @@ class TestSweep:
         assert points[0].result is None
         assert points[1].ok
 
+    def test_nan_cannot_hide_a_descent(self):
+        with pytest.raises(ValueError, match="ascending"):
+            protocol.sweep_interaction_time(make_config(0.0), [1.0, math.nan, 0.5])
+
+    def test_nan_point_is_a_per_point_error(self):
+        points = protocol.sweep_interaction_time(make_config(0.0), [0.0, math.nan, 1.0])
+        assert [p.ok for p in points] == [True, False, True]
+        assert points[1].error == "interaction_time must be non-negative and finite, got nan"
+        assert points[1].result is None
+
+    def test_setup_failure_is_recorded_at_every_point(self):
+        # A vacuum field has no revival timescale; every point says so, and
+        # a rejected time keeps its own message.
+        config = make_config(0.0, prep=CoherentPrep(0.0))
+        points = protocol.sweep_interaction_time(config, [-1.0, 0.0, 2.0])
+        assert [p.ok for p in points] == [False, False, False]
+        assert "interaction_time" in points[0].error
+        assert points[1].error == points[2].error == "n_bar must be positive, got 0.0"
+
+    @pytest.mark.parametrize("pulse_mode", protocol.PULSE_MODES)
+    @pytest.mark.parametrize("initial", [dict(initial_beta=0.7),
+                                         dict(initial_beta=None, initial_pe=0.85)])
+    def test_equals_pointwise_run_protocol(self, pulse_mode, initial):
+        alpha = 6.0 * complex(math.cos(0.9), math.sin(0.9))
+        config = make_config(0.0, pulse_mode=pulse_mode, prep=CoherentPrep(alpha), **initial)
+        grid = np.concatenate([[0.0], np.linspace(0.5, 40.0, 25)])
+        for point in protocol.sweep_interaction_time(config, grid):
+            alone = protocol.run_protocol(replace(config, interaction_time=point.t))
+            swept = point.result
+            assert swept.rho_pre_pulse == alone.rho_pre_pulse
+            assert abs(swept.rho_post_pulse.rho11 - alone.rho_post_pulse.rho11) <= 1e-15
+            assert abs(swept.rho_post_pulse.rho01 - alone.rho_post_pulse.rho01) <= 1e-15
+            assert abs(swept.reading.pe - alone.reading.pe) <= 1e-15
+            assert swept.validity == alone.validity
+
+    def test_field_is_built_once_per_sweep(self, monkeypatch):
+        calls = []
+        original = hilbert.poisson_weight
+
+        def counting(n, n_bar):
+            calls.append(n_bar)
+            return original(n, n_bar)
+
+        # Patch the function and the kernel's binding of it.
+        monkeypatch.setattr(hilbert, "poisson_weight", counting)
+        monkeypatch.setattr(dynamics, "poisson_weight", counting)
+        grid = np.linspace(0.0, Timescales(N_BAR).half_revival, 200)
+        points = protocol.sweep_interaction_time(make_config(0.0), grid)
+        assert all(p.ok for p in points)
+        assert len(calls) == 1
+
     def test_floor_is_reached_at_the_end_of_the_window(self):
         scales = Timescales(N_BAR)
         grid = np.linspace(0.0, scales.half_revival, 200)
@@ -292,6 +371,10 @@ class TestInitialStateIndependence:
         dist = protocol.initial_state_independence(
             make_config(0.0), scales.tau_revival, [0.0, 1.0])
         assert dist > 0.1
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="interaction_time must be non-negative"):
+            protocol.initial_state_independence(make_config(0.0), -5.0, [0.0, 1.0])
 
     def test_needs_two_probes(self):
         with pytest.raises(ValueError):
