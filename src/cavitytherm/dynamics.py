@@ -76,7 +76,14 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
     the common phase ``exp(-i omega (n+1) t)`` and rotates by the block Rabi
     angle; ``|g,0>`` is untouched and the top ``|e, n_max>`` amplitude, whose
     partner lies outside the truncation, evolves by its bare phase alone.
+
+    The blocks are rotated on strided views of the amplitudes, ``|e,n>`` at
+    ``amps[1:2 n_max:2]`` and ``|g,n+1>`` at ``amps[2::2]``, and the phase is
+    built from real cos/sin of ``omega (n+1) t``. ``t`` must be finite; a
+    negative ``t`` evolves backwards.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     params = state.params
     omega, g = params.omega, params.g
     amps = state.amplitudes
@@ -85,15 +92,16 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
 
     out[2 * 0 + LEVEL_G] = amps[2 * 0 + LEVEL_G]
 
-    n = np.arange(n_max)
-    e_idx = 2 * n + LEVEL_E
-    g_idx = 2 * (n + 1) + LEVEL_G
-    theta = g * np.sqrt(n + 1.0) * t
-    phase = np.exp(-1j * omega * (n + 1.0) * t)
+    k = np.arange(1.0, n_max + 1.0)  # n + 1
+    angle = omega * k * t
+    phase = np.empty(n_max, dtype=np.complex128)
+    phase.real = np.cos(angle)
+    phase.imag = -np.sin(angle)
+    theta = g * np.sqrt(k) * t
     c, s = np.cos(theta), np.sin(theta)
-    a_e, a_g = amps[e_idx], amps[g_idx]
-    out[e_idx] = phase * (c * a_e - 1j * s * a_g)
-    out[g_idx] = phase * (-1j * s * a_e + c * a_g)
+    a_e, a_g = amps[LEVEL_E:2 * n_max:2], amps[2 + LEVEL_G::2]
+    out[LEVEL_E:2 * n_max:2] = phase * (c * a_e - 1j * s * a_g)
+    out[2 + LEVEL_G::2] = phase * (-1j * s * a_e + c * a_g)
 
     out[2 * n_max + LEVEL_E] = (
         np.exp(-1j * omega * (n_max + 1.0) * t) * amps[2 * n_max + LEVEL_E]
@@ -198,8 +206,10 @@ def coherence_from_propagator(t: float, alpha: complex,
     """Reduced coherence via propagate + partial trace.
 
     The cross-check of the series in :func:`evolve_atom_field_mixture`, for
-    the atom started in ``initial_level``.
+    the atom started in ``initial_level``. ``t`` must be non-negative and
+    finite, as for the kernel.
     """
+    check_interaction_time(t)
     params = params or PhysicalParams()
     alpha = complex(alpha)
     if n_max is None:

@@ -34,14 +34,22 @@ class TestDensePropagatorOracle:
     """Closed-form blocks vs scipy's matrix exponential of the dense H."""
 
     @pytest.mark.parametrize("n_max", [0, 1, 7, 40])
-    @pytest.mark.parametrize("t", [0.0, 0.37, 2.0, 11.3])
+    @pytest.mark.parametrize("t", [0.0, 0.37, 2.0, 11.3, -2.6])
     def test_propagate_matches_expm(self, n_max, t):
         params = PhysicalParams(delta_e=1.3, g=0.7)
-        state = random_joint_state(n_max, seed=n_max * 1000 + int(10 * t), params=params)
+        state = random_joint_state(n_max, seed=n_max * 1000 + int(10 * abs(t)), params=params)
         u = scipy.linalg.expm(-1j * t * dynamics.hamiltonian_matrix(params, n_max))
         expected = u @ state.amplitudes
         got = dynamics.propagate(state, t).amplitudes
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected_without_numpy_warnings(self, t):
+        state = random_joint_state(7, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t must be finite"):
+                dynamics.propagate(state, t)
 
     def test_top_block_gets_bare_phase_only(self):
         params = PhysicalParams(delta_e=2.0, g=1.0)
@@ -182,6 +190,36 @@ class TestCoherenceSeries:
             direct = traced_state(initial_level, alpha, t, params)
             assert series.rho11 == pytest.approx(direct.rho11, abs=1e-10)
             assert series.rho01 == pytest.approx(direct.rho01, abs=1e-10)
+
+    @pytest.mark.parametrize("initial_level", [LEVEL_E, LEVEL_G])
+    def test_bright_field_matches_the_kernel_and_keeps_its_zeros(self, initial_level):
+        # At n_bar = 1e4 the coherent amplitudes below n ~ 5070 underflow to
+        # exact zeros, and a block of two zeros must rotate to exact zeros.
+        alpha = 100.0
+        scales = Timescales(1e4)
+        field_step = dynamics.FieldStep(alpha)
+        joint = hilbert.coherent_joint_state(initial_level, alpha)
+        first = np.flatnonzero(joint.amplitudes)[0]
+        start = 2 * ((first - 1) // 2) + 1  # first index of that amplitude's block
+        assert start > 0.45 * joint.amplitudes.size
+        for t in (scales.tau_collapse, scales.tau_revival / 4, scales.tau_revival / 2):
+            series = field_step.evolve(hilbert.AtomDensity(float(initial_level)), t)
+            assert dynamics.coherence_from_propagator(
+                t, alpha, initial_level=initial_level) == pytest.approx(
+                series.rho01, rel=0, abs=1e-10)
+            evolved = dynamics.propagate(joint, t)
+            assert hilbert.partial_trace_field(evolved).rho11 == pytest.approx(
+                series.rho11, rel=0, abs=1e-10)
+            assert not np.any(evolved.amplitudes[:start])
+            assert np.any(evolved.amplitudes[start:start + 2])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -3.0])
+    def test_bad_time_rejected_without_numpy_warnings(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="interaction_time must be non-negative "
+                                                 "and finite"):
+                dynamics.coherence_from_propagator(t, 6.0)
 
     def test_excited_state_at_zero_time_in_a_bright_field(self):
         # At n_bar = 1e4 the truncated field's norm must not exceed 1, or

@@ -194,6 +194,14 @@ class TestAtomDensity:
         with pytest.raises(ValueError):
             hilbert.AtomDensity(rho11=1.2)
 
+    @pytest.mark.parametrize("rho01", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                       complex(math.nan, math.nan)])
+    def test_nan_coherence_rejected(self, rho01):
+        # Every comparison with NaN is False, so the check must reject a
+        # determinant unless "det >= -slack" holds.
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            hilbert.AtomDensity(0.5, rho01)
+
     def test_eigenvalues(self):
         rho = hilbert.AtomDensity(rho11=0.5, rho01=0.3j)
         lo, hi = rho.eigenvalues()
@@ -234,6 +242,20 @@ class TestPartialTrace:
         amps[0] = 2.0
         with pytest.raises(ValueError, match="norm"):
             hilbert.partial_trace_field(hilbert.JointPureState(amps))
+
+    @pytest.mark.parametrize("deficit", [math.nan, -1e-8, 2e-6, math.inf, -math.inf])
+    def test_norm_deficit_out_of_range_rejected(self, deficit):
+        with pytest.raises(ValueError, match="norm deviates"):
+            hilbert.check_norm_deficit(deficit)
+
+    @pytest.mark.parametrize("deficit", [-1e-9, 0.0, 1e-6])
+    def test_norm_deficit_bounds_are_inclusive(self, deficit):
+        hilbert.check_norm_deficit(deficit)
+
+    def test_nan_amplitude_rejected(self):
+        # A NaN amplitude makes the norm deficit NaN, which must not pass.
+        with pytest.raises(ValueError, match="norm deviates"):
+            hilbert.partial_trace_field(hilbert.JointPureState([math.nan, 0, 0, 0]))
 
 
 class TestThermalAtom:
