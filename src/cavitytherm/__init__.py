@@ -18,11 +18,9 @@ from .analytic import (
     Timescales,
     ValidityWarning,
     collapse_condition_time,
-    collapse_envelope,
     lambert_w0,
     pe_after_pulse_analytic,
     pe_half_revival,
-    rabi_difference_approx,
     rho01_analytic,
     rho11_analytic,
     t_max,
@@ -78,12 +76,12 @@ __all__ = [
     "atom_density_from_bloch", "bloch_vector",
     "coherence_from_propagator", "coherent_amplitudes",
     "coherent_joint_state", "coherent_tail_mass", "collapse_condition_time",
-    "collapse_envelope", "cooling_axis_azimuth", "default_cutoff",
+    "cooling_axis_azimuth", "default_cutoff",
     "evolve_atom_field_mixture", "hamiltonian_matrix",
     "initial_state_independence", "lambert_w0",
     "partial_trace_field", "pe_after_pulse_analytic", "pe_half_revival",
     "pi_half_pulse", "poisson_weight", "product_state", "propagate",
-    "rabi_difference_approx", "rho01_analytic", "rho11_analytic",
+    "rho01_analytic", "rho11_analytic",
     "run_all_checks", "run_protocol", "sweep_interaction_time", "t_max",
     "t_min", "temperature_from_pe", "thermal_atom", "trace_distance",
 ]

@@ -1,9 +1,9 @@
 """Closed-form approximations for the collapse-phase protocol.
 
-Everything here is algebra on top of the exact dynamics: Gaussian collapse
-envelopes, the slow post-collapse coherence, the pulse-floor population, the
-temperature map, and the reachable-temperature bounds built from them. Each
-formula carries a validity window (post-collapse, pre-half-revival) exposed
+Everything here is algebra on top of the exact dynamics: the collapse-era
+population, the slow post-collapse coherence, the pulse-floor population,
+the temperature map, and the reachable-temperature bounds built from them.
+Each formula carries a validity window (post-collapse, pre-half-revival) exposed
 through :class:`Timescales`; outside the window the functions still return
 values (figures deliberately plot them through the collapse) and callers
 attach flags instead of raising.
@@ -43,14 +43,10 @@ class Timescales:
     g: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_bar <= 0:
+        if not 0 < self.n_bar < math.inf:
             raise ValueError(f"n_bar must be positive, got {self.n_bar}")
-        if self.g <= 0:
+        if not 0 < self.g < math.inf:
             raise ValueError(f"g must be positive, got {self.g}")
-
-    @classmethod
-    def from_params(cls, n_bar: float, params: PhysicalParams) -> "Timescales":
-        return cls(n_bar=n_bar, g=params.g)
 
     @property
     def tau_collapse(self) -> float:
@@ -69,17 +65,6 @@ class Timescales:
     def half_revival(self) -> float:
         """Upper edge of the validity window, ``tau_revival / 2``."""
         return 0.5 * self.tau_revival
-
-    def in_validity_window(self, t: float) -> bool:
-        return self.collapse_complete <= t <= self.half_revival
-
-
-def collapse_envelope(t, n_bar: float, g: float = 1.0):
-    """Gaussian collapse factor ``exp(-t^2 / tau_collapse^2)``."""
-    scales = Timescales(n_bar, g)
-    t = np.asarray(t, dtype=float)
-    out = np.exp(-((t / scales.tau_collapse) ** 2))
-    return float(out) if out.ndim == 0 else out
 
 
 def rho11_analytic(t, n_bar: float, params: PhysicalParams | None = None,
@@ -102,7 +87,7 @@ def rho11_analytic(t, n_bar: float, params: PhysicalParams | None = None,
     params = params or PhysicalParams()
     if initial_level not in (LEVEL_G, LEVEL_E):
         raise ValueError(f"initial_level must be 0 (g) or 1 (e), got {initial_level}")
-    if n_bar < 0:
+    if not 0 <= n_bar < math.inf:
         raise ValueError(f"n_bar must be non-negative, got {n_bar}")
     t = np.asarray(t, dtype=float)
     if initial_level == LEVEL_E:
@@ -129,7 +114,7 @@ def rho01_analytic(t, n_bar: float, params: PhysicalParams | None = None,
     ``[3 tau_collapse, tau_revival / 2]``; scalar or array ``t``.
     """
     params = params or PhysicalParams()
-    if n_bar <= 0:
+    if not 0 < n_bar < math.inf:
         raise ValueError(f"n_bar must be positive, got {n_bar}")
     t = np.asarray(t, dtype=float)
     out = (0.5j * np.exp(1j * (params.omega * t - phi))
@@ -158,31 +143,6 @@ def pe_after_pulse_analytic(t, n_bar: float,
         )
     out = 0.5 - np.abs(rho01_analytic(t_arr, n_bar, params))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def rabi_difference_approx(n, n_bar: float, g: float = 1.0,
-                           order: str = "leading"):
-    """Approximate adjacent-splitting gap ``2 g (sqrt(n+1) - sqrt(n))``.
-
-    Expanded about the mean photon number: ``order='leading'`` gives the
-    n-independent ``g / sqrt(n_bar)`` (the slow coherence frequency is half
-    of it); ``order='next'`` adds the curvature and detuning corrections
-
-        2 g (1/(2 sqrt(n_bar)) - 1/(8 n_bar^{3/2}) - (n - n_bar)/(4 n_bar^{3/2})).
-    """
-    if n_bar <= 0:
-        raise ValueError(f"n_bar must be positive, got {n_bar}")
-    n = np.asarray(n, dtype=float)
-    root = math.sqrt(n_bar)
-    if order == "leading":
-        out = np.full_like(n, g / root)
-    elif order == "next":
-        out = 2.0 * g * (1.0 / (2.0 * root)
-                         - 1.0 / (8.0 * n_bar * root)
-                         - (n - n_bar) / (4.0 * n_bar * root))
-    else:
-        raise ValueError(f"order must be 'leading' or 'next', got {order!r}")
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -263,7 +223,7 @@ def pe_half_revival(n_bar: float, variant: str = "paper") -> float:
     pulse leaves ``pe = 1/2 - |rho01| = (pi^2 + 4) / (64 n_bar)``; its
     relative error against the exact floor shrinks like ``1 / n_bar``.
     """
-    if n_bar <= 0:
+    if not 0 < n_bar < math.inf:
         raise ValueError(f"n_bar must be positive, got {n_bar}")
     if variant == "paper":
         return math.pi ** 2 / (32.0 * n_bar)
@@ -310,50 +270,52 @@ def lambert_w0(x: float, max_iter: int = 100) -> float:
     return w
 
 
+# Weight of the Gaussian transient against the emergent coherence in the
+# collapse condition: the protocol may fire once the coherence exceeds the
+# transient ten times over.
+COLLAPSE_SAFETY_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class CollapseTime:
     """Solution of the collapse-completion condition.
 
-    ``root`` solves ``safety_factor * exp(-t^2/tau_c^2) =
+    ``root`` solves ``COLLAPSE_SAFETY_FACTOR * exp(-t^2/tau_c^2) =
     sin(g t / (2 sqrt(n_bar)))`` by bracketing and bisection;
     ``linearized`` is the small-angle closed form
-    ``g t = sqrt(W(4 safety_factor^2 n_bar))``; ``residual`` is the
+    ``g t = sqrt(W(4 COLLAPSE_SAFETY_FACTOR^2 n_bar))``; ``residual`` is the
     defining-equation mismatch at ``root``.
     """
 
     root: float
     linearized: float
     residual: float
-    safety_factor: float
 
 
-def collapse_condition_time(n_bar: float, params: PhysicalParams | None = None,
-                            safety_factor: float = 10.0) -> CollapseTime:
+def collapse_condition_time(n_bar: float,
+                            params: PhysicalParams | None = None) -> CollapseTime:
     """Earliest time the slow coherence dominates the collapse transient.
 
-    Solves ``safety_factor * exp(-t^2/tau_c^2) = sin(g t / (2 sqrt(n_bar)))``
-    for the first crossing: before it the Gaussian transient (weighted by
-    the safety factor) still exceeds the emergent coherence, after it the
-    protocol may fire. Bisection runs to 1e-12 relative width; the
-    Lambert-W linearization is returned alongside for comparison.
+    Solves ``COLLAPSE_SAFETY_FACTOR * exp(-t^2/tau_c^2) =
+    sin(g t / (2 sqrt(n_bar)))`` for the first crossing: before it the
+    Gaussian transient (weighted by the safety factor) still exceeds the
+    emergent coherence, after it the protocol may fire. Bisection runs to
+    1e-12 relative width; the Lambert-W linearization is returned alongside
+    for comparison.
     """
     params = params or PhysicalParams()
-    if n_bar <= 0:
-        raise ValueError(f"n_bar must be positive, got {n_bar}")
-    if safety_factor <= 0:
-        raise ValueError(f"safety_factor must be positive, got {safety_factor}")
     g = params.g
-    scales = Timescales(n_bar, g)
+    scales = Timescales(n_bar, g)  # rejects an n_bar that is not positive and finite
 
     def f(t: float) -> float:
-        return (safety_factor * math.exp(-((t / scales.tau_collapse) ** 2))
+        return (COLLAPSE_SAFETY_FACTOR * math.exp(-((t / scales.tau_collapse) ** 2))
                 - math.sin(g * t / (2.0 * math.sqrt(n_bar))))
 
     lo, hi = 0.0, scales.half_revival
     if f(hi) > 0.0:
         raise ValueError(
             f"no bracket for the collapse condition in [0, {hi:.6g}] "
-            f"(n_bar={n_bar}, safety_factor={safety_factor})"
+            f"(n_bar={n_bar}, COLLAPSE_SAFETY_FACTOR={COLLAPSE_SAFETY_FACTOR})"
         )
     while hi - lo > 1e-12 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
@@ -364,16 +326,15 @@ def collapse_condition_time(n_bar: float, params: PhysicalParams | None = None,
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    linearized = math.sqrt(lambert_w0(4.0 * safety_factor ** 2 * n_bar)) / g
-    return CollapseTime(root=root, linearized=linearized,
-                        residual=abs(f(root)), safety_factor=safety_factor)
+    linearized = math.sqrt(lambert_w0(4.0 * COLLAPSE_SAFETY_FACTOR ** 2 * n_bar)) / g
+    return CollapseTime(root=root, linearized=linearized, residual=abs(f(root)))
 
 
 T_MAX_VARIANTS = ("numeric", "closed_form")
 
 
 def t_max(n_bar: float, delta_e: float = 1.0, variant: str = "numeric",
-          g: float = 1.0, safety_factor: float = 10.0) -> TemperatureReading:
+          g: float = 1.0) -> TemperatureReading:
     """Highest usable protocol temperature, reached at the collapse condition.
 
     ``variant='numeric'`` (reference): evaluate the pulse-floor population
@@ -390,12 +351,12 @@ def t_max(n_bar: float, delta_e: float = 1.0, variant: str = "numeric",
     """
     params = PhysicalParams(delta_e=delta_e, g=g)
     if variant == "numeric":
-        ct = collapse_condition_time(n_bar, params, safety_factor)
+        ct = collapse_condition_time(n_bar, params)
         sin_val = math.sin(g * ct.root / (2.0 * math.sqrt(n_bar)))
         pe = 0.5 * (1.0 - sin_val)
         return temperature_from_pe(pe, delta_e)
     if variant == "closed_form":
-        root_w = math.sqrt(lambert_w0(4.0 * safety_factor ** 2 * n_bar))
+        root_w = math.sqrt(lambert_w0(4.0 * COLLAPSE_SAFETY_FACTOR ** 2 * n_bar))
         four_root = 4.0 * math.sqrt(n_bar)
         if root_w >= four_root:
             raise ValueError(f"closed-form t_max undefined for n_bar={n_bar}")

@@ -25,7 +25,7 @@ from . import __version__
 from .analytic import Timescales, rho01_analytic, t_max, t_min
 from .dynamics import FieldStep
 from .hilbert import AtomDensity, CoherentPrep, PhysicalParams, bloch_vector
-from .protocol import ProtocolConfig, run_protocol, sweep_interaction_time
+from .protocol import PULSE_MODES, ProtocolConfig, run_protocol, sweep_interaction_time
 from .validation import run_all_checks
 
 
@@ -109,12 +109,9 @@ class RunSpec:
         # initial_beta = +/-inf is a ground or fully inverted atom.
         if self.initial_beta is not None and math.isnan(self.initial_beta):
             raise ConfigError("initial_beta must not be NaN")
-        if self.n_bar <= 0:
-            raise ConfigError(f"n_bar must be positive, got {self.n_bar}")
-        if self.g <= 0:
-            raise ConfigError(f"g must be positive, got {self.g}")
-        if self.delta_e <= 0:
-            raise ConfigError(f"delta_e must be positive, got {self.delta_e}")
+        for name in ("n_bar", "g", "delta_e"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.time < 0:
             raise ConfigError(f"time must be non-negative, got {self.time}")
         if self.pe0 is not None and not 0.0 <= self.pe0 <= 1.0:
@@ -129,6 +126,10 @@ class RunSpec:
             raise ConfigError(
                 f"initial_level must be one of {_INITIAL_LEVELS}, got "
                 f"{self.initial_level!r}"
+            )
+        if self.pulse_mode not in PULSE_MODES:
+            raise ConfigError(
+                f"pulse_mode must be one of {PULSE_MODES}, got {self.pulse_mode!r}"
             )
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
@@ -269,7 +270,7 @@ def cmd_fig_rho01(spec: RunSpec) -> int:
     levels = {"e": [(1.0, "")], "g": [(0.0, "")],
               "both": [(1.0, "_e"), (0.0, "_g")]}[spec.initial_level]
     prep = spec.prep()
-    field_step = FieldStep(prep.alpha, spec.params, prep.n_max)
+    field_step = FieldStep(prep, spec.params)
     atoms = [(AtomDensity(pe), suffix) for pe, suffix in levels]
     fieldnames = ["t"]
     for _, suffix in levels:
@@ -400,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--initial-level", choices=_INITIAL_LEVELS,
                        dest="initial_level",
                        help="initial atom level for fig-rho01 (default e)")
-        p.add_argument("--pulse-mode", choices=["explicit_unitary", "diagonalize"],
+        p.add_argument("--pulse-mode", choices=PULSE_MODES,
                        dest="pulse_mode", help="how the half pulse is realized")
     return parser
 

@@ -38,6 +38,7 @@ from .hilbert import (
     LEVEL_E,
     LEVEL_G,
     AtomDensity,
+    CoherentPrep,
     JointPureState,
     PhysicalParams,
     check_norm_deficit,
@@ -118,32 +119,26 @@ def check_interaction_time(t: float) -> None:
 class FieldStep:
     """The field half of :func:`evolve_atom_field_mixture`, built once per field.
 
-    Holds what the series needs of a coherent field ``alpha`` truncated at
-    ``n_max``: the Poisson weights ``w_n``, the products ``a_n a_{n+1}`` of
-    their square roots, the table ``sqrt(k)`` for ``0 <= k <= n_max + 1``
-    and ``arg(alpha)``, with the norm deficit checked on construction.
-    :meth:`evolve` is the per-time step; it depends on the atom and ``t``
-    only, so one field step serves every time and initial atom of a sweep
-    or figure.
+    Holds what the series needs of a cutoff-validated ``prep``: the Poisson
+    weights ``w_n`` up to ``n_max``, the products ``a_n a_{n+1}`` of their
+    square roots, the table ``sqrt(k)`` for ``0 <= k <= n_max + 1`` and
+    ``arg(alpha)``. The weight sum is norm-checked against overshoot.
+    :meth:`evolve` is the per-time step; one field step serves every time
+    and initial atom of a sweep or figure.
     """
 
     __slots__ = ("g", "omega", "phase", "weights", "pairs", "root_k")
 
-    def __init__(self, alpha: complex, params: PhysicalParams | None = None,
-                 n_max: int | None = None) -> None:
+    def __init__(self, prep: CoherentPrep, params: PhysicalParams | None = None) -> None:
         params = params or PhysicalParams()
-        alpha = complex(alpha)
-        n_bar = abs(alpha) ** 2
-        if n_max is None:
-            n_max = default_cutoff(n_bar)
-        w = poisson_weight(np.arange(n_max + 1), n_bar)
+        w = poisson_weight(np.arange(prep.n_max + 1), prep.n_bar)
         check_norm_deficit(1.0 - float(np.sum(w)))
         a = np.sqrt(w)
         self.g, self.omega = params.g, params.omega
-        self.phase = cmath.phase(alpha)
+        self.phase = cmath.phase(prep.alpha)
         self.weights = w
         self.pairs = a[:-1] * a[1:]
-        self.root_k = np.sqrt(np.arange(n_max + 2.0))
+        self.root_k = np.sqrt(np.arange(prep.n_max + 2.0))
 
     def evolve(self, atom: AtomDensity, t: float) -> AtomDensity:
         """Reduced state of the diagonal ``atom`` after time ``t`` in this field."""
@@ -192,11 +187,13 @@ def evolve_atom_field_mixture(atom: AtomDensity, alpha: complex, t: float,
     field is folded into the ground population, within the bounds of
     :func:`~cavitytherm.hilbert.check_norm_deficit`.
 
-    One call is one :class:`FieldStep` and one :meth:`FieldStep.evolve`;
-    callers that evolve one field over many times or atoms build the field
-    step once themselves. ``t`` must be non-negative and finite.
+    One call is a :class:`~cavitytherm.hilbert.CoherentPrep` (so a too-small
+    cutoff raises :class:`~cavitytherm.hilbert.TruncationError`), a
+    :class:`FieldStep` and its :meth:`FieldStep.evolve`; callers that evolve
+    one field over many times or atoms build the field step once themselves.
+    ``t`` must be non-negative and finite.
     """
-    return FieldStep(alpha, params, n_max).evolve(atom, t)
+    return FieldStep(CoherentPrep(alpha, n_max), params).evolve(atom, t)
 
 
 def coherence_from_propagator(t: float, alpha: complex,
@@ -208,6 +205,11 @@ def coherence_from_propagator(t: float, alpha: complex,
     The cross-check of the series in :func:`evolve_atom_field_mixture`, for
     the atom started in ``initial_level``. ``t`` must be non-negative and
     finite, as for the kernel.
+
+    As the reference route it takes ``n_max`` unvalidated: a ``CoherentPrep``
+    would sum the Poisson tail on every call (about 5% of a call at
+    ``n_bar = 1e4``). A cutoff dropping over ``1e-6`` of the norm still fails
+    the norm check of :func:`~cavitytherm.hilbert.partial_trace_field`.
     """
     check_interaction_time(t)
     params = params or PhysicalParams()

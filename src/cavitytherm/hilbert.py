@@ -364,10 +364,12 @@ def thermal_atom(beta: float, delta_e: float = 1.0) -> AtomDensity:
     """Thermal (Gibbs) atomic state at inverse temperature ``beta``.
 
     ``beta`` may be ``inf`` (ground state). Negative ``beta`` encodes an
-    inverted population and is accepted.
+    inverted population and is accepted; ``-inf`` is the excited state.
     """
-    if delta_e <= 0:
-        raise ValueError(f"delta_e must be positive, got {delta_e}")
+    if math.isnan(beta):
+        raise ValueError("beta must not be NaN")
+    if not 0 < delta_e < math.inf:
+        raise ValueError(f"delta_e must be positive and finite, got {delta_e}")
     x = beta * delta_e
     if x > 700.0:
         pe = 0.0

@@ -35,6 +35,10 @@ from .hilbert import (
 
 PULSE_MODES = ("explicit_unitary", "diagonalize")
 
+# Largest off-diagonal magnitude the explicit pulse may leave before the
+# result is flagged.
+PULSE_RESIDUAL_TOLERANCE = 0.05
+
 _EIGENVALUE_SLACK = 1e-12
 
 
@@ -94,9 +98,7 @@ class ProtocolConfig:
     population) and ``initial_beta`` (thermal atom at that inverse
     temperature) must be given. ``pulse_mode`` selects between physically
     applying the phase-locked pulse (``explicit_unitary``) and the axis-free
-    reference that diagonalizes the pre-pulse state (``diagonalize``);
-    ``pulse_residual_tolerance`` bounds the leftover off-diagonal magnitude
-    the explicit pulse may leave before the result is flagged.
+    reference that diagonalizes the pre-pulse state (``diagonalize``).
     """
 
     prep: CoherentPrep
@@ -105,7 +107,6 @@ class ProtocolConfig:
     initial_pe: float | None = None
     initial_beta: float | None = None
     pulse_mode: str = "explicit_unitary"
-    pulse_residual_tolerance: float = 0.05
 
     def __post_init__(self) -> None:
         if (self.initial_pe is None) == (self.initial_beta is None):
@@ -121,11 +122,6 @@ class ProtocolConfig:
         if self.pulse_mode not in PULSE_MODES:
             raise ValueError(
                 f"pulse_mode must be one of {PULSE_MODES}, got {self.pulse_mode!r}"
-            )
-        if not 0 < self.pulse_residual_tolerance < math.inf:
-            raise ValueError(
-                f"pulse_residual_tolerance must be positive and finite, got "
-                f"{self.pulse_residual_tolerance}"
             )
 
     def initial_atom(self) -> AtomDensity:
@@ -166,7 +162,7 @@ def _point_runner(config: ProtocolConfig):
     bad ``t`` with the same message as :class:`ProtocolConfig`.
     """
     prep, physical = config.prep, config.physical
-    field_step = FieldStep(prep.alpha, physical, prep.n_max)
+    field_step = FieldStep(prep, physical)
     atom = config.initial_atom()
     scales = config.timescales()
     collapse_complete, half_revival = scales.collapse_complete, scales.half_revival
@@ -189,7 +185,7 @@ def _point_runner(config: ProtocolConfig):
         validity = ValidityFlags(
             collapse_completed=t >= collapse_complete,
             within_half_revival=t <= half_revival,
-            pulse_residual_ok=residual <= config.pulse_residual_tolerance,
+            pulse_residual_ok=residual <= PULSE_RESIDUAL_TOLERANCE,
         )
         return ProtocolResult(
             rho_pre_pulse=rho_pre,
@@ -208,8 +204,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     The readout converts the smallest eigenvalue of the post-pulse state to
     a temperature; validity flags report whether the interaction time falls
     inside ``[3 tau_collapse, tau_revival / 2]`` and (in explicit mode)
-    whether the phase-locked pulse left the state diagonal to within the
-    configured tolerance.
+    whether the phase-locked pulse left the state diagonal to within
+    ``PULSE_RESIDUAL_TOLERANCE``.
     """
     return _point_runner(config)(config.interaction_time)
 
@@ -275,7 +271,7 @@ def initial_state_independence(config: ProtocolConfig, t: float,
     """
     if len(probe_pes) < 2:
         raise ValueError("need at least two probe populations")
-    field_step = FieldStep(config.prep.alpha, config.physical, config.prep.n_max)
+    field_step = FieldStep(config.prep, config.physical)
     reduced = [field_step.evolve(AtomDensity(rho11=float(pe)), t) for pe in probe_pes]
     return max(
         trace_distance(a, b)

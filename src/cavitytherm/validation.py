@@ -28,6 +28,7 @@ from . import analytic, dynamics, hilbert, protocol
 
 DEFAULT_N_BAR = 36.0
 DEFAULT_ALPHA = 6.0 + 0.0j
+_SCALES = analytic.Timescales(DEFAULT_N_BAR)
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,10 @@ def coherent_amplitudes_match_poisson() -> tuple[bool, str]:
 @_check()
 def evolved_states_are_densities() -> tuple[bool, str]:
     """Partial traces along the pipeline are unit-trace, Hermitian, positive."""
-    scales = analytic.Timescales(DEFAULT_N_BAR)
-    field_step = dynamics.FieldStep(DEFAULT_ALPHA)
+    field_step = dynamics.FieldStep(hilbert.CoherentPrep(DEFAULT_ALPHA))
     atom = hilbert.thermal_atom(1.0)
     worst_det = math.inf
-    for t in np.linspace(0.0, scales.tau_revival, 17):
+    for t in np.linspace(0.0, _SCALES.tau_revival, 17):
         rho = field_step.evolve(atom, float(t))
         worst_det = min(worst_det, rho.determinant)
         if rho.eigenvalues()[0] < -1e-12:
@@ -157,9 +157,8 @@ def thermal_temperature_round_trip() -> tuple[bool, str]:
 def propagator_unitarity() -> tuple[bool, str]:
     """Closed-form propagation preserves the state norm."""
     state = _excited_joint_state()
-    scales = analytic.Timescales(DEFAULT_N_BAR)
     norms = [dynamics.propagate(state, float(t)).norm
-             for t in np.linspace(0.0, 2.0 * scales.tau_revival, 41)]
+             for t in np.linspace(0.0, 2.0 * _SCALES.tau_revival, 41)]
     worst = max(abs(n - state.norm) for n in norms)
     return worst <= 1e-12, f"max norm drift = {worst:.2e} over [0, 2 tau_r] (bound 1e-12)"
 
@@ -169,10 +168,9 @@ def propagator_composition() -> tuple[bool, str]:
     """Propagating t1 then t2 equals propagating t1 + t2."""
     state = _excited_joint_state()
     rng = np.random.default_rng(7)
-    scales = analytic.Timescales(DEFAULT_N_BAR)
     worst = 0.0
     for _ in range(20):
-        t1, t2 = rng.uniform(0.0, scales.tau_revival, size=2)
+        t1, t2 = rng.uniform(0.0, _SCALES.tau_revival, size=2)
         once = dynamics.propagate(state, float(t1 + t2))
         twice = dynamics.propagate(dynamics.propagate(state, float(t1)), float(t2))
         worst = max(worst, float(np.max(np.abs(once.amplitudes - twice.amplitudes))))
@@ -192,7 +190,7 @@ def energy_conservation() -> tuple[bool, str]:
     scale = max(1.0, abs(e0))
     worst = max(
         abs(energy(dynamics.propagate(state, float(t))) - e0)
-        for t in np.linspace(0.0, analytic.Timescales(DEFAULT_N_BAR).tau_revival, 23)
+        for t in np.linspace(0.0, _SCALES.tau_revival, 23)
     )
     return worst <= 1e-10 * scale, (
         f"max <H> drift = {worst:.2e} against scale {scale:.1f} (bound 1e-10 relative)"
@@ -227,8 +225,7 @@ def coherence_series_matches_trace() -> tuple[bool, str]:
     sensitivity: a series run at half the true coupling (a splitting
     convention of half the true size) must break the identity visibly.
     """
-    scales = analytic.Timescales(DEFAULT_N_BAR)
-    times = np.linspace(0.0, 0.8 * scales.tau_revival, 50)
+    times = np.linspace(0.0, 0.8 * _SCALES.tau_revival, 50)
     worst = 0.0
     # The level indices 0 (g) and 1 (e) are also the atoms' excited populations.
     for level in (hilbert.LEVEL_G, hilbert.LEVEL_E):
@@ -273,10 +270,9 @@ def pulse_preserves_eigenvalues() -> tuple[bool, str]:
 @_check()
 def reading_pe_below_half() -> tuple[bool, str]:
     """The protocol reading never reports more than half excitation."""
-    scales = analytic.Timescales(DEFAULT_N_BAR)
     worst = -math.inf
     for mode in protocol.PULSE_MODES:
-        for t in np.linspace(0.0, scales.half_revival, 21):
+        for t in np.linspace(0.0, _SCALES.half_revival, 21):
             res = protocol.run_protocol(_default_config(float(t), pulse_mode=mode))
             worst = max(worst, res.reading.pe)
     return worst <= 0.5 + 1e-12, f"max reading.pe = {worst:.15f} (bound 0.5 + 1e-12)"
@@ -285,7 +281,7 @@ def reading_pe_below_half() -> tuple[bool, str]:
 @_check()
 def pipeline_determinism() -> tuple[bool, str]:
     """Identical configs produce bit-identical results."""
-    t = analytic.Timescales(DEFAULT_N_BAR).half_revival * 0.37
+    t = _SCALES.half_revival * 0.37
     a = protocol.run_protocol(_default_config(t))
     b = protocol.run_protocol(_default_config(t))
     same = (
@@ -300,9 +296,8 @@ def pipeline_determinism() -> tuple[bool, str]:
 @_check()
 def reading_matches_analytic_floor() -> tuple[bool, str]:
     """Inside the window the reading tracks the closed-form pulse floor."""
-    scales = analytic.Timescales(DEFAULT_N_BAR)
     worst = 0.0
-    for t in np.linspace(scales.collapse_complete, scales.half_revival, 25):
+    for t in np.linspace(_SCALES.collapse_complete, _SCALES.half_revival, 25):
         res = protocol.run_protocol(_default_config(float(t)))
         target = analytic.pe_after_pulse_analytic(float(t), DEFAULT_N_BAR)
         worst = max(worst, abs(res.reading.pe - target))
@@ -313,9 +308,8 @@ def reading_matches_analytic_floor() -> tuple[bool, str]:
 def closed_form_coherence_accuracy() -> tuple[bool, str]:
     """The slow-coherence closed form tracks the exact coherence per component."""
     started = time.perf_counter()
-    scales = analytic.Timescales(DEFAULT_N_BAR)
-    times = np.linspace(scales.collapse_complete,
-                        scales.half_revival - scales.collapse_complete, 300)
+    times = np.linspace(_SCALES.collapse_complete,
+                        _SCALES.half_revival - _SCALES.collapse_complete, 300)
     worst = 0.0
     # The level indices 0 (g) and 1 (e) are also the atoms' excited populations.
     for level in (hilbert.LEVEL_G, hilbert.LEVEL_E):
@@ -342,11 +336,10 @@ def initial_state_independence_window() -> tuple[bool, str]:
     window the first revival's leading tail lifts the trace distance past
     the bound at this n_bar (about 0.044 near 0.79 tau_r).
     """
-    scales = analytic.Timescales(DEFAULT_N_BAR)
     config = _default_config()
     at_zero = protocol.initial_state_independence(config, 0.0, (0.0, 1.0))
     worst, worst_t = 0.0, 0.0
-    for t in np.linspace(scales.collapse_complete, scales.half_revival, 50):
+    for t in np.linspace(_SCALES.collapse_complete, _SCALES.half_revival, 50):
         d = protocol.initial_state_independence(config, float(t), (0.0, 1.0))
         if d > worst:
             worst, worst_t = d, float(t)
@@ -360,12 +353,11 @@ def initial_state_independence_window() -> tuple[bool, str]:
 @_check()
 def population_settles_to_half() -> tuple[bool, str]:
     """Excited population saturates at 1/2 over ``[3 tau_c, 0.8 tau_r]``."""
-    scales = analytic.Timescales(DEFAULT_N_BAR)
     worst = 0.0
     # The level indices 0 (g) and 1 (e) are also the atoms' excited populations.
     for level in (hilbert.LEVEL_G, hilbert.LEVEL_E):
         state = hilbert.coherent_joint_state(level, DEFAULT_ALPHA)
-        for t in np.linspace(scales.collapse_complete, 0.8 * scales.tau_revival, 50):
+        for t in np.linspace(_SCALES.collapse_complete, 0.8 * _SCALES.tau_revival, 50):
             rho = hilbert.partial_trace_field(dynamics.propagate(state, float(t)))
             worst = max(worst, abs(rho.rho11 - 0.5))
     return worst <= 0.02, f"max |rho11 - 1/2| = {worst:.4f} (bound 0.02)"
@@ -471,11 +463,10 @@ def temperature_floor_monotone() -> tuple[bool, str]:
 @_check()
 def coherence_phase_advances_at_carrier() -> tuple[bool, str]:
     """The closed-form coherence phase advances at the carrier rate."""
-    scales = analytic.Timescales(DEFAULT_N_BAR)
     params = hilbert.PhysicalParams()
     dt = 0.1375
     worst = 0.0
-    for t in np.linspace(scales.collapse_complete, scales.half_revival - dt, 40):
+    for t in np.linspace(_SCALES.collapse_complete, _SCALES.half_revival - dt, 40):
         a = analytic.rho01_analytic(float(t), DEFAULT_N_BAR, params)
         b = analytic.rho01_analytic(float(t) + dt, DEFAULT_N_BAR, params)
         # Inside the window the sine factor stays positive, so the whole
@@ -486,7 +477,7 @@ def coherence_phase_advances_at_carrier() -> tuple[bool, str]:
         worst = max(worst, gap)
     mags_ok = all(
         abs(analytic.rho01_analytic(float(t), DEFAULT_N_BAR)) <= 0.5 + 1e-15
-        for t in np.linspace(0.0, 4.0 * scales.tau_revival, 100)
+        for t in np.linspace(0.0, 4.0 * _SCALES.tau_revival, 100)
     )
     ok = worst <= 1e-10 and mags_ok
     return ok, (
@@ -498,11 +489,10 @@ def coherence_phase_advances_at_carrier() -> tuple[bool, str]:
 @_check()
 def pulse_floor_identity() -> tuple[bool, str]:
     """The closed-form floor equals 1/2 minus the coherence magnitude."""
-    scales = analytic.Timescales(DEFAULT_N_BAR)
     worst = max(
         abs(analytic.pe_after_pulse_analytic(float(t), DEFAULT_N_BAR)
             - (0.5 - abs(analytic.rho01_analytic(float(t), DEFAULT_N_BAR))))
-        for t in np.linspace(0.0, scales.half_revival, 60)
+        for t in np.linspace(0.0, _SCALES.half_revival, 60)
     )
     return worst <= 1e-15, f"max identity gap = {worst:.2e} (bound 1e-15)"
 
@@ -518,7 +508,7 @@ def propagator_vs_ode() -> tuple[bool, str]:
     from scipy.linalg import expm
 
     state = _excited_joint_state()
-    t = analytic.Timescales(DEFAULT_N_BAR).half_revival
+    t = _SCALES.half_revival
     blocks = dynamics.propagate(state, t)
     h = dynamics.hamiltonian_matrix(state.params, state.n_max)
     dense = hilbert.JointPureState(expm(-1j * t * h) @ state.amplitudes, state.params)
@@ -537,16 +527,15 @@ def sweep_monotone_after_collapse() -> tuple[bool, str]:
     stated numerical-noise tolerance of 1e-3: the exact floor has a real
     wiggle of about 1e-4 just before the half revival.
     """
-    scales = analytic.Timescales(DEFAULT_N_BAR)
     root = analytic.collapse_condition_time(DEFAULT_N_BAR).root
     config = _default_config()
     window = protocol.sweep_interaction_time(
-        config, np.linspace(root, scales.half_revival, 60))
+        config, np.linspace(root, _SCALES.half_revival, 60))
     pes = [p.result.reading.pe for p in window]
     worst_rise = max(
         (b - a for a, b in zip(pes, pes[1:])), default=0.0)
     full = protocol.sweep_interaction_time(
-        config, np.linspace(0.0, scales.half_revival, 200))
+        config, np.linspace(0.0, _SCALES.half_revival, 200))
     full_pes = [p.result.reading.pe for p in full]
     end_gap = full_pes[-1] - min(full_pes)
     ok = worst_rise <= 1e-3 and end_gap <= 1e-3

@@ -116,6 +116,15 @@ class TestConfigFile:
         _, rows = parse_csv(out)
         assert float(rows[0]["pre_z"]) == 2.0 * pe - 1.0
 
+    def test_bad_pulse_mode_is_a_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text("pulse_mode = bogus\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: pulse_mode must be one of ('explicit_unitary', "
+                       "'diagonalize'), got 'bogus'\n")
+
     def test_conflicting_initial_state(self, capsys, tmp_path):
         cfg = tmp_path / "beta.cfg"
         cfg.write_text("initial_beta = 1.0\n", encoding="utf-8")

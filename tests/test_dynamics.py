@@ -197,7 +197,7 @@ class TestCoherenceSeries:
         # exact zeros, and a block of two zeros must rotate to exact zeros.
         alpha = 100.0
         scales = Timescales(1e4)
-        field_step = dynamics.FieldStep(alpha)
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(alpha))
         joint = hilbert.coherent_joint_state(initial_level, alpha)
         first = np.flatnonzero(joint.amplitudes)[0]
         start = 2 * ((first - 1) // 2) + 1  # first index of that amplitude's block
@@ -278,9 +278,14 @@ class TestMixtureEvolution:
             dynamics.evolve_atom_field_mixture(atom, 1.5, 1.0)
 
     def test_too_small_cutoff_rejected(self):
-        # n_max = 5 drops about 0.21 of the Poisson mass at n_bar = 9.
-        with pytest.raises(ValueError, match="norm deviates"):
-            dynamics.evolve_atom_field_mixture(hilbert.AtomDensity(1.0), 3.0, 1.0, n_max=5)
+        # n_max = 5 drops about 0.21 of the Poisson mass at n_bar = 9; n_max
+        # = 80 leaves 8.1e-11 at n_bar = 36, inside the norm check's slack
+        # but over the cutoff tolerance.
+        for alpha, n_max in ((3.0, 5), (6.0, 80)):
+            with pytest.raises(hilbert.TruncationError,
+                               match="insufficient truncation.*need n_max >= "):
+                dynamics.evolve_atom_field_mixture(
+                    hilbert.AtomDensity(1.0), alpha, 1.0, n_max=n_max)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -3.0])
     def test_bad_time_rejected_without_numpy_warnings(self, t):
@@ -296,7 +301,7 @@ class TestFieldStep:
 
     def test_reuse_matches_the_kernel_bit_for_bit(self):
         alpha, params = 6.0 * np.exp(1j * 0.8), PhysicalParams(delta_e=1.3, g=0.7)
-        field_step = dynamics.FieldStep(alpha, params)
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(alpha), params)
         for t in np.linspace(0.0, 40.0, 23):
             for p_e in (0.0, 0.27, 1.0):
                 atom = hilbert.AtomDensity(p_e)
@@ -306,11 +311,16 @@ class TestFieldStep:
 
     def test_zero_time_echoes_the_atom(self):
         atom = hilbert.AtomDensity(0.5)
-        assert dynamics.FieldStep(6.0).evolve(atom, 0.0) is atom
+        assert dynamics.FieldStep(hilbert.CoherentPrep(6.0)).evolve(atom, 0.0) is atom
 
-    def test_norm_is_checked_once_on_construction(self):
+    def test_norm_is_checked_once_on_construction(self, monkeypatch):
+        # The prep has validated the cutoff; weights that overshoot unit
+        # norm are still caught.
+        original = dynamics.poisson_weight
+        monkeypatch.setattr(dynamics, "poisson_weight",
+                            lambda n, n_bar: original(n, n_bar) * (1.0 + 1e-8))
         with pytest.raises(ValueError, match="norm deviates"):
-            dynamics.FieldStep(3.0, n_max=5)
+            dynamics.FieldStep(hilbert.CoherentPrep(3.0))
 
 
 class TestKernelProperties:

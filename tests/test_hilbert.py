@@ -275,6 +275,19 @@ class TestThermalAtom:
         with pytest.raises(ValueError):
             hilbert.thermal_atom(1.0, delta_e=0.0)
 
+    @pytest.mark.parametrize("beta, delta_e, match", [
+        (math.nan, 1.0, "beta must not be NaN"),
+        (1.0, math.nan, "delta_e must be positive and finite"),
+        (1.0, math.inf, "delta_e must be positive and finite"),
+        (1.0, -1.0, "delta_e must be positive and finite"),
+    ])
+    def test_bad_inputs_are_named(self, beta, delta_e, match):
+        with pytest.raises(ValueError, match=match):
+            hilbert.thermal_atom(beta, delta_e)
+
+    def test_negative_infinite_beta_is_the_excited_state(self):
+        assert hilbert.thermal_atom(-math.inf).rho11 == 1.0
+
 
 class TestBlochMaps:
     @settings(max_examples=60, deadline=None)

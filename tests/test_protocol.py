@@ -146,15 +146,11 @@ class TestProtocolConfig:
             make_config(1.0, initial_beta=None, initial_pe=1.5)
         with pytest.raises(ValueError):
             make_config(1.0, pulse_mode="adiabatic")
-        with pytest.raises(ValueError):
-            make_config(1.0, pulse_residual_tolerance=0.0)
 
     @pytest.mark.parametrize("field, value", [
         ("interaction_time", math.nan),
         ("interaction_time", math.inf),
         ("initial_beta", math.nan),
-        ("pulse_residual_tolerance", math.nan),
-        ("pulse_residual_tolerance", math.inf),
     ])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
