@@ -178,8 +178,8 @@ def temperature_from_pe(pe: float, delta_e: float = 1.0) -> TemperatureReading:
     """
     if not 0.0 <= pe <= 1.0:
         raise ValueError(f"pe must lie in [0, 1], got {pe}")
-    if delta_e <= 0:
-        raise ValueError(f"delta_e must be positive, got {delta_e}")
+    if not 0 < delta_e < math.inf:
+        raise ValueError(f"delta_e must be positive and finite, got {delta_e}")
     if pe == 0.0:
         temperature = 0.0
     elif pe == 0.5:
@@ -356,6 +356,7 @@ def t_max(n_bar: float, delta_e: float = 1.0, variant: str = "numeric",
         pe = 0.5 * (1.0 - sin_val)
         return temperature_from_pe(pe, delta_e)
     if variant == "closed_form":
+        Timescales(n_bar, g)  # rejects a non-finite or non-positive n_bar by name
         root_w = math.sqrt(lambert_w0(4.0 * COLLAPSE_SAFETY_FACTOR ** 2 * n_bar))
         four_root = 4.0 * math.sqrt(n_bar)
         if root_w >= four_root:

@@ -10,9 +10,11 @@ Conventions used across the package (natural units, hbar = k_B = 1):
   components are ``x = 2 Re rho01``, ``y = 2 Im rho01``, ``z = 2 rho11 - 1``.
 * Truncated coherent-state amplitude vectors are never renormalized; the
   missing tail mass is tracked explicitly. :class:`CoherentPrep` is the one
-  place a Fock cutoff is validated, against ``DEFAULT_TAIL_TOLERANCE``.
-* Poisson weights and tail masses both come from the log-space weights of
-  :func:`_log_poisson_weight` (Loader, 2000), so the module needs numpy only.
+  place a Fock window ``[n_lo, n_max]`` is validated: both the head below
+  ``n_lo`` and the tail above ``n_max`` are held to ``DEFAULT_TAIL_TOLERANCE``.
+* Poisson weights, head masses and tail masses all come from the log-space
+  weights of :func:`_log_poisson_weight` (Loader, 2000), so the module needs
+  numpy only.
 """
 
 from __future__ import annotations
@@ -151,6 +153,26 @@ def coherent_tail_mass(n_bar: float, n_max: int) -> float:
     return math.fsum(np.exp(_log_poisson_weight(n, n_bar)))
 
 
+def coherent_head_mass(n_bar: float, n_lo: int) -> float:
+    """Poisson probability mass below ``n_lo`` for mean ``n_bar``.
+
+    The sibling of :func:`coherent_tail_mass` for a window that starts at
+    ``n_lo``. Below the mean it sums the weights of
+    :func:`_log_poisson_weight` over ``n_lo - 1 - 10 sqrt(n_bar) - 40 <= n <
+    n_lo`` (from 0 at the least), which leaves out less than ``1e-20`` of the
+    head. Where ``n_lo - 1 >= n_bar`` the head is about one half or more,
+    so ``1 - coherent_tail_mass(n_bar, n_lo - 1)`` loses nothing to
+    cancellation.
+    """
+    if n_lo <= 0:
+        return 0.0
+    if n_lo - 1 >= n_bar:
+        return 1.0 - coherent_tail_mass(n_bar, n_lo - 1)
+    width = math.ceil(10.0 * math.sqrt(n_bar) + 40.0)
+    n = np.arange(max(n_lo - 1 - width, 0), n_lo, dtype=float)
+    return math.fsum(np.exp(_log_poisson_weight(n, n_bar)))
+
+
 def _required_cutoff(n_bar: float) -> int:
     """Smallest cutoff whose coherent tail mass is within the tolerance."""
     hi = max(default_cutoff(n_bar), 1)
@@ -166,36 +188,81 @@ def _required_cutoff(n_bar: float) -> int:
     return hi
 
 
+# ``exp(x)`` rounds to 0 below x = -745.13, so an amplitude ``exp(log w / 2)``
+# is exactly 0 once ``log w < -1490.27``; this floor keeps 20 nats to spare.
+_LOG_WEIGHT_UNDERFLOW = -1510.0
+
+
+def _first_nonzero_photon_number(n_bar: float) -> int:
+    """Photon number below which every coherent amplitude underflows to 0.
+
+    ``log w(n) = n log n_bar - n_bar - lgamma(n + 1)`` rises up to the mean,
+    so a bisection on it finds the first ``n`` where it reaches
+    ``_LOG_WEIGHT_UNDERFLOW``. Each amplitude below that ``n`` is exactly 0
+    in double precision, whichever way either log weight is rounded. It is
+    0 for ``n_bar <= 1510``.
+    """
+    log_n_bar = math.log(n_bar)
+
+    def log_w(n: int) -> float:
+        return n * log_n_bar - n_bar - math.lgamma(n + 1.0)
+
+    if log_w(0) >= _LOG_WEIGHT_UNDERFLOW:
+        return 0
+    lo, hi = 0, math.floor(n_bar)  # log_w(lo) below the floor, log_w(hi) not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_w(mid) < _LOG_WEIGHT_UNDERFLOW:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     """Fock amplitudes ``c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!)`` up to ``n_max``.
 
     ``|c_n|^2`` is :func:`poisson_weight`, evaluated in log space so large
     ``n_bar`` can neither overflow a factorial nor overshoot unit norm; the
     truncated vector is returned as-is (not renormalized), and each call
-    returns a new array.
+    returns a new array. The vector always starts at ``n = 0``. Amplitudes
+    below :func:`_first_nonzero_photon_number` (5 043 of the 11 221 at
+    ``n_bar = 1e4``) would underflow to exact zeros, so they are set to 0
+    without evaluating them; the complex ``exp`` of the log amplitude runs
+    from there up.
     """
     alpha = complex(alpha)
     n_bar = abs(alpha) ** 2
+    amps = np.zeros(n_max + 1, dtype=np.complex128)
     if n_bar == 0.0:
-        amps = np.zeros(n_max + 1, dtype=np.complex128)
         amps[0] = 1.0
         return amps
-    n = np.arange(n_max + 1, dtype=float)
-    return np.exp(0.5 * _log_poisson_weight(n, n_bar) + 1j * cmath.phase(alpha) * n)
+    start = min(_first_nonzero_photon_number(n_bar), n_max + 1)
+    n = np.arange(start, n_max + 1, dtype=float)
+    np.exp(0.5 * _log_poisson_weight(n, n_bar) + 1j * cmath.phase(alpha) * n,
+           out=amps[start:])
+    return amps
 
 
 @dataclass(frozen=True)
 class CoherentPrep:
-    """A coherent field preparation with a validated Fock truncation.
+    """A coherent field preparation with a validated Fock window ``[n_lo, n_max]``.
 
     Parameters
     ----------
     alpha : complex
         Coherent amplitude; ``n_bar = |alpha|^2`` and ``phi = arg(alpha)``.
     n_max : int, optional
-        Fock cutoff. Defaults to :func:`default_cutoff` for ``n_bar``. A
-        cutoff that leaves more than ``DEFAULT_TAIL_TOLERANCE`` of tail mass
-        raises :class:`TruncationError` naming the smallest one that does not.
+        Fock cutoff, the window's upper edge. Defaults to
+        :func:`default_cutoff` for ``n_bar``. A cutoff that leaves more than
+        ``DEFAULT_TAIL_TOLERANCE`` of tail mass raises
+        :class:`TruncationError` naming the smallest one that does not.
+
+    The lower edge :attr:`n_lo` is derived, never set: the mirror of
+    :func:`default_cutoff` below the mean, so a bright field's window spans
+    ``O(sqrt(n_bar))`` photon numbers (2 441 of the 11 221 up to ``n_max``
+    at ``n_bar = 1e4``) and a dim one starts at 0. Its head mass is held to
+    the same tolerance as the tail.
     """
 
     alpha: complex
@@ -216,10 +283,26 @@ class CoherentPrep:
                 f"{tail:.3e} > {DEFAULT_TAIL_TOLERANCE:.3e} for n_bar={self.n_bar}; "
                 f"need n_max >= {_required_cutoff(self.n_bar)}"
             )
+        head = self.head_mass()
+        if head > DEFAULT_TAIL_TOLERANCE:
+            raise TruncationError(
+                f"insufficient window: n_lo={self.n_lo} leaves head mass "
+                f"{head:.3e} > {DEFAULT_TAIL_TOLERANCE:.3e} for n_bar={self.n_bar}"
+            )
 
     @property
     def n_bar(self) -> float:
         return abs(self.alpha) ** 2
+
+    @property
+    def n_lo(self) -> int:
+        """Lower window edge, ``max(0, floor(n_bar - 12 sqrt(n_bar) - 20))``.
+
+        As in :func:`default_cutoff`, a bound less than 1e-6 below an
+        integer rounds up to it, so the field phase cannot move the edge.
+        """
+        n_bar = self.n_bar
+        return max(0, math.floor(n_bar - 12.0 * math.sqrt(n_bar) - 20.0 + 1e-6))
 
     @property
     def phi(self) -> float:
@@ -227,6 +310,9 @@ class CoherentPrep:
 
     def field_amplitudes(self) -> np.ndarray:
         return coherent_amplitudes(self.alpha, self.n_max)
+
+    def head_mass(self) -> float:
+        return coherent_head_mass(self.n_bar, self.n_lo)
 
     def tail_mass(self) -> float:
         return coherent_tail_mass(self.n_bar, self.n_max)
@@ -238,6 +324,8 @@ class JointPureState:
 
     The amplitude vector has length ``2 * (n_max + 1)`` with layout
     ``index = 2 * n + level`` (level 0 = g, 1 = e) and is stored read-only.
+    The constructor stores a copy, so later changes to the caller's array
+    cannot reach the state.
     """
 
     amplitudes: np.ndarray
@@ -245,12 +333,15 @@ class JointPureState:
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
-        if amps.ndim != 1 or amps.size % 2 != 0 or amps.size == 0:
-            raise ValueError(
-                f"amplitudes must be a 1-d array of even length, got shape {amps.shape}"
-            )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _frozen_amplitudes(amps))
+
+    @classmethod
+    def _adopt(cls, amps: np.ndarray, params: PhysicalParams) -> JointPureState:
+        """The state of ``amps``, a new complex128 vector no caller keeps, uncopied."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", _frozen_amplitudes(amps))
+        object.__setattr__(state, "params", params)
+        return state
 
     @property
     def n_max(self) -> int:
@@ -268,6 +359,16 @@ class JointPureState:
         return self.amplitudes[level::2]
 
 
+def _frozen_amplitudes(amps: np.ndarray) -> np.ndarray:
+    """Check a joint amplitude vector's shape and make it read-only."""
+    if amps.ndim != 1 or amps.size % 2 != 0 or amps.size == 0:
+        raise ValueError(
+            f"amplitudes must be a 1-d array of even length, got shape {amps.shape}"
+        )
+    amps.setflags(write=False)
+    return amps
+
+
 def product_state(level: int, field_amps: np.ndarray,
                   params: PhysicalParams | None = None) -> JointPureState:
     """Joint state ``|level> (x) |field>`` from a field amplitude vector."""
@@ -276,7 +377,7 @@ def product_state(level: int, field_amps: np.ndarray,
     field_amps = np.asarray(field_amps, dtype=np.complex128)
     amps = np.zeros(2 * field_amps.size, dtype=np.complex128)
     amps[level::2] = field_amps
-    return JointPureState(amps, params or PhysicalParams())
+    return JointPureState._adopt(amps, params or PhysicalParams())
 
 
 def coherent_joint_state(level: int, alpha: complex,

@@ -37,8 +37,10 @@ def exact_rho11(t: float, initial_level: int) -> float:
     ("n_bar", lambda x: analytic.pe_after_pulse_analytic(5.0, x)),
     ("n_bar", lambda x: analytic.pe_half_revival(x)),
     ("n_bar", lambda x: analytic.collapse_condition_time(x)),
+    ("n_bar", lambda x: analytic.t_max(x, variant="closed_form")),
 ], ids=["Timescales.n_bar", "Timescales.g", "rho01_analytic", "rho11_analytic",
-        "pe_after_pulse_analytic", "pe_half_revival", "collapse_condition_time"])
+        "pe_after_pulse_analytic", "pe_half_revival", "collapse_condition_time",
+        "t_max.closed_form"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_inputs_are_rejected_by_name(field, call, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -204,6 +206,11 @@ class TestTemperatureMap:
             analytic.temperature_from_pe(1.1)
         with pytest.raises(ValueError):
             analytic.temperature_from_pe(0.2, delta_e=0.0)
+
+    @pytest.mark.parametrize("delta_e", [math.inf, math.nan, -1.0])
+    def test_non_finite_splitting_rejected(self, delta_e):
+        with pytest.raises(ValueError, match="^delta_e must be positive and finite"):
+            analytic.temperature_from_pe(0.2, delta_e=delta_e)
 
     def test_reading_invariants(self):
         cold = analytic.temperature_from_pe(0.1)

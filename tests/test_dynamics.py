@@ -62,6 +62,55 @@ class TestDensePropagatorOracle:
         assert out.norm == pytest.approx(1.0, abs=1e-14)
 
 
+def rotate_every_block(state: hilbert.JointPureState, t: float) -> np.ndarray:
+    """The closed-form block rotation applied to all of 0 <= n <= n_max."""
+    omega, g = state.params.omega, state.params.g
+    amps, n_max = state.amplitudes, state.n_max
+    out = np.empty_like(amps)
+    out[0] = amps[0]
+    k = np.arange(1.0, n_max + 1.0)
+    phase = np.cos(omega * k * t) - 1j * np.sin(omega * k * t)
+    c, s = np.cos(g * np.sqrt(k) * t), np.sin(g * np.sqrt(k) * t)
+    a_e, a_g = amps[1:2 * n_max:2], amps[2::2]
+    out[1:2 * n_max:2] = phase * (c * a_e - 1j * s * a_g)
+    out[2::2] = phase * (-1j * s * a_e + c * a_g)
+    out[-1] = np.exp(-1j * omega * (n_max + 1.0) * t) * amps[-1]
+    return out
+
+
+def states_with_zero_runs() -> list[tuple[str, hilbert.JointPureState]]:
+    n_max = 30
+    dim = 2 * (n_max + 1)
+    rng = np.random.default_rng(17)
+    cases = []
+    for lo, hi in ((7, 41), (8, 40), (1, dim - 1), (3, 4)):
+        amps = np.zeros(dim, dtype=complex)
+        amps[lo:hi] = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
+        cases.append((f"zeros outside [{lo}, {hi})", amps))
+    for name, index in (("only |g,0>", 2 * 0 + LEVEL_G), ("only |e,n_max>", 2 * n_max + LEVEL_E)):
+        amps = np.zeros(dim, dtype=complex)
+        amps[index] = 0.6 - 0.8j
+        cases.append((name, amps))
+    cases.append(("all zeros", np.zeros(dim, dtype=complex)))
+    params = PhysicalParams(delta_e=1.3, g=0.7)
+    states = [(name, hilbert.JointPureState(amps, params)) for name, amps in cases]
+    for level in (LEVEL_E, LEVEL_G):
+        states.append((f"n_bar=36 level {level}", hilbert.coherent_joint_state(level, 6.0j)))
+    states.append(("n_bar=1e4", hilbert.coherent_joint_state(LEVEL_G, 100.0 * np.exp(0.4j))))
+    return states
+
+
+class TestZeroBlockSkip:
+    """Rotating only the blocks between the outer nonzero amplitudes changes nothing."""
+
+    @pytest.mark.parametrize("name, state", states_with_zero_runs(),
+                             ids=[name for name, _ in states_with_zero_runs()])
+    @pytest.mark.parametrize("t", [0.0, 0.9, 37.5, -4.2])
+    def test_equals_the_rotation_of_every_block(self, name, state, t):
+        assert np.array_equal(dynamics.propagate(state, t).amplitudes,
+                              rotate_every_block(state, t))
+
+
 class TestVacuumRabi:
     def test_cosine_squared_population(self):
         params = PhysicalParams(delta_e=1.0, g=0.8)
@@ -212,6 +261,26 @@ class TestCoherenceSeries:
                 series.rho11, rel=0, abs=1e-10)
             assert not np.any(evolved.amplitudes[:start])
             assert np.any(evolved.amplitudes[start:start + 2])
+
+    @pytest.mark.parametrize("n_bar", [1e3, 1e4])
+    @pytest.mark.parametrize("initial_level", [LEVEL_E, LEVEL_G])
+    def test_windowed_kernel_matches_the_full_space_cross_check(self, n_bar, initial_level):
+        # The kernel sums over [n_lo, n_max] only; the cross-check spans all
+        # of 0 <= n <= n_max.
+        alpha = math.sqrt(n_bar) * np.exp(0.3j)
+        prep = hilbert.CoherentPrep(alpha)
+        field_step = dynamics.FieldStep(prep)
+        assert prep.n_lo > 0.5 * n_bar
+        assert field_step.weights.size == prep.n_max - prep.n_lo + 1
+        joint = hilbert.coherent_joint_state(initial_level, alpha)
+        scales = Timescales(n_bar)
+        for t in (scales.tau_collapse, scales.tau_revival / 2, 1.1 * scales.tau_revival):
+            series = field_step.evolve(hilbert.AtomDensity(float(initial_level)), t)
+            assert dynamics.coherence_from_propagator(
+                t, alpha, initial_level=initial_level) == pytest.approx(
+                series.rho01, rel=0, abs=1e-10)
+            assert hilbert.partial_trace_field(dynamics.propagate(joint, t)).rho11 == (
+                pytest.approx(series.rho11, rel=0, abs=1e-10))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -3.0])
     def test_bad_time_rejected_without_numpy_warnings(self, t):

@@ -11,7 +11,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitytherm import hilbert
+from cavitytherm import dynamics, hilbert
 
 
 class TestPoissonWeight:
@@ -81,6 +81,28 @@ class TestCoherentAmplitudes:
         amps = hilbert.coherent_amplitudes(math.sqrt(n_bar), hilbert.default_cutoff(n_bar))
         assert np.sum(np.abs(amps) ** 2) - 1.0 <= 1e-13
 
+    @pytest.mark.parametrize("n_bar", [0.0, 1e-12, 36.0, 1489.0, 1491.0, 2000.0, 1e4, 1e5])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -2.5])
+    def test_equals_the_full_range_evaluation(self, n_bar, phi):
+        # The amplitudes left out of the evaluation are exactly the ones
+        # that underflow to 0; every other one is the same complex exp.
+        alpha = math.sqrt(n_bar) * complex(math.cos(phi), math.sin(phi))
+        n_max = hilbert.default_cutoff(n_bar)
+        if n_bar == 0.0:
+            full = np.zeros(n_max + 1, dtype=complex)
+            full[0] = 1.0
+        else:
+            n = np.arange(n_max + 1, dtype=float)
+            full = np.exp(0.5 * hilbert._log_poisson_weight(n, abs(alpha) ** 2)
+                          + 1j * math.atan2(alpha.imag, alpha.real) * n)
+        assert np.array_equal(hilbert.coherent_amplitudes(alpha, n_max), full)
+
+    def test_bright_field_skips_its_underflowed_head(self):
+        # exp(log w / 2) underflows below n = 5072 at n_bar = 1e4; the skipped
+        # part keeps its 20-nat margin below that.
+        assert hilbert._first_nonzero_photon_number(1e4) == 5043
+        assert hilbert._first_nonzero_photon_number(1490.0) == 0
+
     def test_norm_deficit_equals_tail_mass(self):
         n_max = 40
         amps = hilbert.coherent_amplitudes(6.0, n_max)
@@ -110,6 +132,32 @@ class TestCoherentTailMass:
 
     def test_vacuum_has_no_tail(self):
         assert hilbert.coherent_tail_mass(0.0, 0) == 0.0
+
+
+def head_grid() -> list[tuple[float, int]]:
+    """n_bar from 1e-12 to 1e5, window edges at 1, the mean, +/-3 sigma and -12 sigma - 20."""
+    cases = []
+    for n_bar in (1e-12, 1e-6, 0.5, 3.0, 36.0, 177.8, 400.0, 1e3, 1e4, 1e5):
+        sigma = math.sqrt(n_bar)
+        edges = {1, math.floor(n_bar - 3 * sigma), math.floor(n_bar), math.ceil(n_bar),
+                 math.floor(n_bar + 3 * sigma), math.floor(n_bar - 12 * sigma - 20)}
+        cases += [(n_bar, n_lo) for n_lo in sorted(edges)
+                  if n_lo >= 1 and scipy.special.pdtr(n_lo - 1, n_bar) > 1e-290]
+    return cases
+
+
+class TestCoherentHeadMass:
+    @pytest.mark.parametrize("n_bar, n_lo", head_grid())
+    def test_matches_poisson_cdf(self, n_bar, n_lo):
+        # P(N < n_lo) is the Poisson CDF at n_lo - 1; the grid reaches from
+        # 1e-51 to 0.999 of the mass.
+        expected = float(scipy.special.pdtr(n_lo - 1, n_bar))
+        assert hilbert.coherent_head_mass(n_bar, n_lo) == pytest.approx(expected, rel=1e-12)
+
+    def test_empty_and_vacuum_heads(self):
+        assert hilbert.coherent_head_mass(36.0, 0) == 0.0
+        assert hilbert.coherent_head_mass(0.0, 0) == 0.0
+        assert hilbert.coherent_head_mass(0.0, 3) == 1.0
 
 
 class TestCutoffs:
@@ -157,6 +205,25 @@ class TestCoherentPrep:
         with pytest.raises(ValueError, match="non-negative"):
             hilbert.CoherentPrep(0.0, n_max=-1)
 
+    @pytest.mark.parametrize("n_bar, window", [(36.0, 129), (1e3, 801), (1e4, 2441),
+                                               (1e5, 7631)])
+    def test_window_spans_twelve_sigma_on_each_side(self, n_bar, window):
+        prep = hilbert.CoherentPrep(math.sqrt(n_bar))
+        assert prep.n_max - prep.n_lo + 1 == window
+        assert prep.n_lo == max(0, math.floor(n_bar - 12.0 * math.sqrt(n_bar) - 20.0))
+        assert prep.head_mass() <= 1e-33
+        assert prep.tail_mass() <= 6e-33
+
+    def test_window_edge_does_not_depend_on_field_phase(self):
+        # n_bar - 12 sqrt(n_bar) - 20 is exactly 140 at n_bar = 400.
+        for phi in np.linspace(0.0, 2.0 * math.pi, 64):
+            assert hilbert.CoherentPrep(20.0 * np.exp(1j * phi)).n_lo == 140
+
+    def test_head_mass_is_held_to_the_tolerance(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "coherent_head_mass", lambda n_bar, n_lo: 2e-12)
+        with pytest.raises(hilbert.TruncationError, match="insufficient window: n_lo=8780"):
+            hilbert.CoherentPrep(100.0)
+
     def test_joint_state_takes_the_same_truncation(self):
         state = hilbert.coherent_joint_state(hilbert.LEVEL_G, 6.0, n_max=90)
         assert state.n_max == 90
@@ -169,6 +236,24 @@ class TestJointPureState:
         state = hilbert.product_state(hilbert.LEVEL_E, [1.0, 0.0])
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
+
+    def test_callers_array_is_copied(self):
+        amps = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+        state = hilbert.JointPureState(amps)
+        amps[1] = 0.5
+        assert state.amplitude(hilbert.LEVEL_E, 0) == 1.0
+        assert amps.flags.writeable
+
+    def test_package_built_states_are_read_only(self):
+        field_amps = np.array([0.6, 0.8], dtype=complex)
+        built = hilbert.product_state(hilbert.LEVEL_G, field_amps)
+        field_amps[0] = 0.0
+        assert built.amplitude(hilbert.LEVEL_G, 0) == 0.6
+        evolved = dynamics.propagate(built, 0.3)
+        for state in (built, evolved, hilbert.coherent_joint_state(hilbert.LEVEL_E, 2.0)):
+            assert not state.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 1.0
 
     def test_index_layout(self):
         state = hilbert.product_state(hilbert.LEVEL_E, [0.0, 1.0, 0.0])
