@@ -45,7 +45,7 @@ from .hilbert import (
     bloch_vector,
     coherent_amplitudes,
     coherent_joint_state,
-    coherent_tail_mass,
+    coherent_mass,
     default_cutoff,
     partial_trace_field,
     poisson_weight,
@@ -75,7 +75,7 @@ __all__ = [
     "ValidityWarning",
     "atom_density_from_bloch", "bloch_vector",
     "coherence_from_propagator", "coherent_amplitudes",
-    "coherent_joint_state", "coherent_tail_mass", "collapse_condition_time",
+    "coherent_joint_state", "coherent_mass", "collapse_condition_time",
     "cooling_axis_azimuth", "default_cutoff",
     "evolve_atom_field_mixture", "hamiltonian_matrix",
     "initial_state_independence", "lambert_w0",

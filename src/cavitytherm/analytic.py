@@ -237,9 +237,14 @@ def pe_half_revival(n_bar: float, variant: str = "paper") -> float:
 def t_min(n_bar: float, delta_e: float = 1.0) -> TemperatureReading:
     """Lowest reachable temperature: the half-revival floor as a temperature.
 
-    Monotone decreasing in ``n_bar``.
+    Monotone decreasing in ``n_bar``. Undefined below ``n_bar = pi^2 / 16``,
+    where the floor ``pi^2 / (32 n_bar)`` passes 1/2, the most a protocol
+    reading can be.
     """
-    return temperature_from_pe(pe_half_revival(n_bar), delta_e)
+    pe = pe_half_revival(n_bar)
+    if pe > 0.5:
+        raise ValueError(f"t_min undefined for n_bar={n_bar}: floor pe {pe} exceeds 1/2")
+    return temperature_from_pe(pe, delta_e)
 
 
 def lambert_w0(x: float, max_iter: int = 100) -> float:

@@ -12,9 +12,10 @@ Conventions used across the package (natural units, hbar = k_B = 1):
   missing tail mass is tracked explicitly. :class:`CoherentPrep` is the one
   place a Fock window ``[n_lo, n_max]`` is validated: both the head below
   ``n_lo`` and the tail above ``n_max`` are held to ``DEFAULT_TAIL_TOLERANCE``.
-* Poisson weights, head masses and tail masses all come from the log-space
-  weights of :func:`_log_poisson_weight` (Loader, 2000), so the module needs
-  numpy only.
+* Poisson weights and the mass of any photon-number range
+  (:func:`coherent_mass`, which gives both the head and the tail) come from
+  the log-space weights of :func:`_log_poisson_weight` (Loader, 2000), so
+  the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _POSITIVITY_SLACK = 1e-12
 
 
 class TruncationError(ValueError):
-    """Raised when a Fock cutoff leaves more tail mass than tolerated."""
+    """Raised when a Fock window leaves more head or tail mass than tolerated."""
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,11 @@ class PhysicalParams:
         return self.delta_e
 
 
+def _check_n_bar(n_bar: float) -> None:
+    if not 0 <= n_bar < math.inf:  # negated so that NaN fails too
+        raise ValueError(f"n_bar must be non-negative and finite, got {n_bar}")
+
+
 def default_cutoff(n_bar: float) -> int:
     """Default Fock cutoff for a coherent field of mean photon number ``n_bar``.
 
@@ -77,8 +83,7 @@ def default_cutoff(n_bar: float) -> int:
     (its last bit depends on the field phase) cannot add a Fock level; the
     twelve-sigma margin makes the dropped fraction of a level immaterial.
     """
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be non-negative, got {n_bar}")
+    _check_n_bar(n_bar)
     return math.ceil(n_bar + 12.0 * math.sqrt(n_bar) + 20.0 - 1e-6)
 
 
@@ -123,9 +128,8 @@ def poisson_weight(n, n_bar: float):
     Accepts scalar or array ``n`` (non-negative integers); returns a float or
     float array.
     """
+    _check_n_bar(n_bar)
     n_arr = np.asarray(n, dtype=float)
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be non-negative, got {n_bar}")
     if n_bar == 0.0:
         out = np.where(n_arr == 0, 1.0, 0.0)
         return float(out) if np.isscalar(n) else out
@@ -133,55 +137,35 @@ def poisson_weight(n, n_bar: float):
     return float(out) if np.isscalar(n) else out
 
 
-def coherent_tail_mass(n_bar: float, n_max: int) -> float:
-    """Poisson probability mass above ``n_max`` for mean ``n_bar``.
+def coherent_mass(n_bar: float, lo: int, hi: float = math.inf) -> float:
+    """Poisson probability mass of ``lo <= n <= hi`` (``lo >= 0``) for mean ``n_bar``.
 
-    This is the norm deficit of a coherent amplitude vector truncated at
-    ``n_max``. Past the mean it sums the weights of
-    :func:`_log_poisson_weight` over ``n_max < n <= n_max + 1 + 10 sqrt(n_bar)
-    + 40``, which leaves out less than ``1e-20`` of the tail. Where
-    ``n_max + 1 <= n_bar`` the tail is at least one half, so ``1 - sum(head)``
-    loses nothing to cancellation.
+    Sums the weights of :func:`_log_poisson_weight` over the range, clipped
+    to within ``10 sqrt(n_bar) + 40`` of the mean or of the range's near
+    edge, which leaves out less than ``1e-20`` of the mass. An empty range
+    has mass 0. The mass above ``n_max`` is the norm deficit of a coherent
+    amplitude vector truncated there.
     """
+    _check_n_bar(n_bar)
     if n_bar == 0.0:
-        return 0.0
-    if n_max + 1 <= n_bar:
-        head = np.exp(_log_poisson_weight(np.arange(n_max + 1.0), n_bar))
-        return 1.0 - math.fsum(head)
+        return float(lo <= 0 <= hi)
     width = math.ceil(10.0 * math.sqrt(n_bar) + 40.0)
-    n = np.arange(n_max + 1.0, n_max + 2.0 + width)
-    return math.fsum(np.exp(_log_poisson_weight(n, n_bar)))
-
-
-def coherent_head_mass(n_bar: float, n_lo: int) -> float:
-    """Poisson probability mass below ``n_lo`` for mean ``n_bar``.
-
-    The sibling of :func:`coherent_tail_mass` for a window that starts at
-    ``n_lo``. Below the mean it sums the weights of
-    :func:`_log_poisson_weight` over ``n_lo - 1 - 10 sqrt(n_bar) - 40 <= n <
-    n_lo`` (from 0 at the least), which leaves out less than ``1e-20`` of the
-    head. Where ``n_lo - 1 >= n_bar`` the head is about one half or more,
-    so ``1 - coherent_tail_mass(n_bar, n_lo - 1)`` loses nothing to
-    cancellation.
-    """
-    if n_lo <= 0:
-        return 0.0
-    if n_lo - 1 >= n_bar:
-        return 1.0 - coherent_tail_mass(n_bar, n_lo - 1)
-    width = math.ceil(10.0 * math.sqrt(n_bar) + 40.0)
-    n = np.arange(max(n_lo - 1 - width, 0), n_lo, dtype=float)
+    start = max(lo, math.floor(min(hi, n_bar)) - width)
+    stop = min(hi, math.ceil(max(lo, n_bar)) + width)
+    n = np.arange(start, stop + 1, dtype=float)
     return math.fsum(np.exp(_log_poisson_weight(n, n_bar)))
 
 
 def _required_cutoff(n_bar: float) -> int:
-    """Smallest cutoff whose coherent tail mass is within the tolerance."""
-    hi = max(default_cutoff(n_bar), 1)
-    while coherent_tail_mass(n_bar, hi) > DEFAULT_TAIL_TOLERANCE:
-        hi *= 2
-    lo = 0
+    """Smallest cutoff whose coherent tail mass is within the tolerance.
+
+    Bisects below :func:`default_cutoff`, whose tail Bernstein's inequality
+    puts under ``exp(-30)`` for every ``n_bar``.
+    """
+    lo, hi = 0, default_cutoff(n_bar)
     while lo < hi:
         mid = (lo + hi) // 2
-        if coherent_tail_mass(n_bar, mid) <= DEFAULT_TAIL_TOLERANCE:
+        if coherent_mass(n_bar, mid + 1) <= DEFAULT_TAIL_TOLERANCE:
             hi = mid
         else:
             lo = mid + 1
@@ -262,7 +246,8 @@ class CoherentPrep:
     :func:`default_cutoff` below the mean, so a bright field's window spans
     ``O(sqrt(n_bar))`` photon numbers (2 441 of the 11 221 up to ``n_max``
     at ``n_bar = 1e4``) and a dim one starts at 0. Its head mass is held to
-    the same tolerance as the tail.
+    the same tolerance as the tail and raises :class:`TruncationError` too.
+    Both masses are :func:`coherent_mass` of the range outside the window.
     """
 
     alpha: complex
@@ -272,6 +257,7 @@ class CoherentPrep:
         object.__setattr__(self, "alpha", complex(self.alpha))
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
+        _check_n_bar(abs(self.alpha) * abs(self.alpha))  # inf, where ** 2 would raise
         if self.n_max is None:
             object.__setattr__(self, "n_max", default_cutoff(self.n_bar))
         if self.n_max < 0:
@@ -312,10 +298,10 @@ class CoherentPrep:
         return coherent_amplitudes(self.alpha, self.n_max)
 
     def head_mass(self) -> float:
-        return coherent_head_mass(self.n_bar, self.n_lo)
+        return coherent_mass(self.n_bar, 0, self.n_lo - 1)
 
     def tail_mass(self) -> float:
-        return coherent_tail_mass(self.n_bar, self.n_max)
+        return coherent_mass(self.n_bar, self.n_max + 1)
 
 
 @dataclass(frozen=True)

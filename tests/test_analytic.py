@@ -228,6 +228,15 @@ class TestTemperatureFloor:
         assert analytic.t_min(36.0).temperature == pytest.approx(0.2105, abs=1e-3)
         assert analytic.t_min(46.0).temperature == pytest.approx(0.2001, abs=1e-3)
 
+    @pytest.mark.parametrize("n_bar", [1e-3, 0.5, 0.6168])
+    def test_undefined_where_the_floor_passes_one_half(self, n_bar):
+        # pi^2 / (32 n_bar) > 1/2 below n_bar = pi^2 / 16 = 0.61685.
+        with pytest.raises(ValueError, match=f"t_min undefined for n_bar={n_bar}"):
+            analytic.t_min(n_bar)
+
+    def test_defined_just_above_pi_squared_over_16(self):
+        assert analytic.t_min(0.617).temperature > 1e3
+
     def test_monotone_decreasing(self):
         assert analytic.t_min(100.0).temperature < analytic.t_min(36.0).temperature
         grid = np.linspace(10.0, 1000.0, 20)

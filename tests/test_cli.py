@@ -298,6 +298,13 @@ class TestFigTmin:
         assert len(rows) == 1
         assert float(rows[0]["t_min"]) == pytest.approx(0.2001, abs=1e-3)
 
+    @pytest.mark.parametrize("n_bar", ["1e-3", "0.5"])
+    def test_dim_field_is_a_numeric_failure(self, capsys, n_bar):
+        code, out, err = run_cli(capsys, "fig-tmin", "--n-bar", n_bar)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"numeric failure: t_min undefined for n_bar={float(n_bar)}")
+
 
 class TestFigTmax:
     def test_both_variants_monotone(self, capsys):

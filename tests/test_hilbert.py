@@ -107,7 +107,7 @@ class TestCoherentAmplitudes:
         n_max = 40
         amps = hilbert.coherent_amplitudes(6.0, n_max)
         deficit = 1.0 - float(np.sum(np.abs(amps) ** 2))
-        assert deficit == pytest.approx(hilbert.coherent_tail_mass(36.0, n_max), rel=1e-10)
+        assert deficit == pytest.approx(hilbert.coherent_mass(36.0, n_max + 1), rel=1e-10)
 
 
 def tail_grid() -> list[tuple[float, int]]:
@@ -128,10 +128,10 @@ class TestCoherentTailMass:
         # every tail on the grid is above 1e-290 (the smallest is 8.9e-286).
         # Stop at 1e5: gammainc itself drifts by ~1e-6 relative near 1e6.
         expected = float(scipy.special.gammainc(n_max + 1, n_bar))
-        assert hilbert.coherent_tail_mass(n_bar, n_max) == pytest.approx(expected, rel=1e-12)
+        assert hilbert.coherent_mass(n_bar, n_max + 1) == pytest.approx(expected, rel=1e-12)
 
     def test_vacuum_has_no_tail(self):
-        assert hilbert.coherent_tail_mass(0.0, 0) == 0.0
+        assert hilbert.coherent_mass(0.0, 1) == 0.0
 
 
 def head_grid() -> list[tuple[float, int]]:
@@ -152,12 +152,41 @@ class TestCoherentHeadMass:
         # P(N < n_lo) is the Poisson CDF at n_lo - 1; the grid reaches from
         # 1e-51 to 0.999 of the mass.
         expected = float(scipy.special.pdtr(n_lo - 1, n_bar))
-        assert hilbert.coherent_head_mass(n_bar, n_lo) == pytest.approx(expected, rel=1e-12)
+        assert hilbert.coherent_mass(n_bar, 0, n_lo - 1) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_and_vacuum_heads(self):
-        assert hilbert.coherent_head_mass(36.0, 0) == 0.0
-        assert hilbert.coherent_head_mass(0.0, 0) == 0.0
-        assert hilbert.coherent_head_mass(0.0, 3) == 1.0
+        assert hilbert.coherent_mass(36.0, 0, -1) == 0.0
+        assert hilbert.coherent_mass(0.0, 0, -1) == 0.0
+        assert hilbert.coherent_mass(0.0, 0, 2) == 1.0
+
+
+class TestCoherentMass:
+    @settings(max_examples=200, deadline=None)
+    @given(log_n_bar=st.floats(-6.0, 6.0), lo_sigmas=st.floats(-15.0, 15.0),
+           width_sigmas=st.floats(0.0, 30.0))
+    def test_head_range_and_tail_sum_to_one(self, log_n_bar, lo_sigmas, width_sigmas):
+        # Any range [lo, hi] splits the Poisson mass into three parts.
+        n_bar = 10.0 ** log_n_bar
+        sigma = math.sqrt(n_bar)
+        lo = max(0, math.floor(n_bar + lo_sigmas * sigma))
+        hi = lo + math.floor(width_sigmas * sigma)
+        total = (hilbert.coherent_mass(n_bar, 0, lo - 1) + hilbert.coherent_mass(n_bar, lo, hi)
+                 + hilbert.coherent_mass(n_bar, hi + 1))
+        assert total == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("call", [
+        lambda n_bar: hilbert.poisson_weight(3, n_bar),
+        hilbert.default_cutoff,
+        lambda n_bar: hilbert.coherent_mass(n_bar, 5),
+    ], ids=["poisson_weight", "default_cutoff", "coherent_mass"])
+    @pytest.mark.parametrize("n_bar", [-1.0, math.nan, math.inf])
+    def test_bad_mean_rejected_by_name(self, call, n_bar):
+        with pytest.raises(ValueError, match="n_bar must be non-negative"):
+            call(n_bar)
+
+    def test_prep_rejects_a_mean_that_overflows(self):
+        with pytest.raises(ValueError, match="n_bar must be non-negative and finite, got inf"):
+            hilbert.CoherentPrep(1e200)
 
 
 class TestCutoffs:
@@ -184,9 +213,11 @@ class TestCutoffs:
             assert hilbert.CoherentPrep(6.0 * np.exp(1j * phi)).n_max == 128
 
     def test_default_cutoff_is_always_sufficient(self):
-        for n_bar in (0.5, 4.0, 36.0, 1000.0):
+        # Bernstein's inequality puts the default tail below exp(-30), so
+        # the required cutoff is found by bisection below the default.
+        for n_bar in (1e-12, 1e-6, 0.5, 4.0, 36.0, 1000.0, 1e5, 1e7):
             n_max = hilbert.default_cutoff(n_bar)
-            assert hilbert.coherent_tail_mass(n_bar, n_max) <= 1e-12
+            assert hilbert.coherent_mass(n_bar, n_max + 1) <= math.exp(-30.0)
 
 
 class TestCoherentPrep:
@@ -220,7 +251,8 @@ class TestCoherentPrep:
             assert hilbert.CoherentPrep(20.0 * np.exp(1j * phi)).n_lo == 140
 
     def test_head_mass_is_held_to_the_tolerance(self, monkeypatch):
-        monkeypatch.setattr(hilbert, "coherent_head_mass", lambda n_bar, n_lo: 2e-12)
+        monkeypatch.setattr(hilbert, "coherent_mass",
+                            lambda n_bar, lo, hi=math.inf: 2e-12 if lo == 0 else 0.0)
         with pytest.raises(hilbert.TruncationError, match="insufficient window: n_lo=8780"):
             hilbert.CoherentPrep(100.0)
 
