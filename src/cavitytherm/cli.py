@@ -432,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"numeric failure: out of memory at n_bar={spec.n_bar}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from .hilbert import (
     CoherentPrep,
     JointPureState,
     PhysicalParams,
+    _unit_phases,
     check_norm_deficit,
     coherent_amplitudes,
     default_cutoff,
@@ -83,13 +84,16 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
     the first nonzero amplitude's to the last's are rotated and the rest of
     the output is left 0; a bright coherent field is 0 below about ``50
     sqrt(n_bar)`` under its mean (45% of the vector at ``n_bar = 1e4``).
-    When the first or last block is all zero, ``argmax`` over a ``!= 0``
-    mask of the real view finds the ends without an index array.
+    An end is scanned only when its own block is all zero (the head of a
+    bright field, not its tail), by ``argmax`` over a ``!= 0`` mask of the
+    real view, without an index array.
 
     The blocks are rotated on strided views of the amplitudes, ``|e,n>`` at
-    odd and ``|g,n+1>`` at even indices, and the phase is built from real
-    cos/sin of ``omega (n+1) t``. ``t`` must be finite; a negative ``t``
-    evolves backwards.
+    odd and ``|g,n+1>`` at even indices. The phases come from the 64-step
+    tables of :func:`~cavitytherm.hilbert._unit_phases`, one complex
+    ``exp`` per 64 blocks. The tables are anchored at ``n + 1 = 0``, so a
+    block's phase is the same bits whichever blocks are skipped. ``t`` must
+    be finite; a negative ``t`` evolves backwards.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -102,17 +106,17 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
     out[2 * 0 + LEVEL_G] = amps[2 * 0 + LEVEL_G]
 
     lo, hi = 0, n_max  # the blocks [lo, hi) are rotated
-    if n_max and not ((amps[1] or amps[2]) and (amps[-3] or amps[-2])):
-        nonzero = amps.view(np.float64) != 0  # real, imag of each amplitude in turn
-        first = int(nonzero.argmax()) // 2
-        last = amps.size - 1 - int(nonzero[::-1].argmax()) // 2
-        lo, hi = max((first - 1) // 2, 0), min((last + 1) // 2, n_max)
+    if n_max:
+        flat = amps.view(np.float64)  # real, imag of each amplitude in turn
+        if not (amps[1] or amps[2]):
+            first = int((flat != 0).argmax()) // 2
+            lo = max((first - 1) // 2, 0)
+        if not (amps[-3] or amps[-2]):
+            last = amps.size - 1 - int((flat[::-1] != 0).argmax()) // 2
+            hi = min((last + 1) // 2, n_max)
     if lo < hi:
         k = np.arange(lo + 1.0, hi + 1.0)  # n + 1
-        angle = omega * k * t
-        phase = np.empty(hi - lo, dtype=np.complex128)
-        phase.real = np.cos(angle)
-        phase.imag = -np.sin(angle)
+        phase = _unit_phases(-omega * t, lo + 1, hi + 1)
         theta = g * np.sqrt(k) * t
         c, s = np.cos(theta), np.sin(theta)
         e_n = slice(2 * lo + LEVEL_E, 2 * hi, 2)

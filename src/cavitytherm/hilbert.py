@@ -16,6 +16,10 @@ Conventions used across the package (natural units, hbar = k_B = 1):
   (:func:`coherent_mass`, which gives both the head and the tail) come from
   the log-space weights of :func:`_log_poisson_weight` (Loader, 2000), so
   the module needs numpy only.
+* Phases ``exp(i x k)`` over a run of integers ``k`` (the coherent
+  amplitudes' ``exp(i n arg(alpha))``, the propagator's block phases) come
+  from :func:`_unit_phases`: tables in steps of 64 anchored at ``k = 0``,
+  so a phase does not depend on where its run starts.
 """
 
 from __future__ import annotations
@@ -109,17 +113,24 @@ def _log_poisson_weight(n: np.ndarray, n_bar: float) -> np.ndarray:
     the Stirling remainder of ``m!`` and ``log(2 pi m) / 2``. It is taken at
     ``m = n + 1``, which is never 0, and stepped back with
     ``log w(n) = log w(m) + log(m / n_bar)``. Where ``n_bar < m / 2``,
-    ``log1p(d)`` is taken as ``log(n_bar / m)``: ``n_bar - m`` keeps only
-    the leading digits of a small ``n_bar`` (none below ``1e-16``).
+    ``log1p(d)`` is overwritten with ``log(n_bar / m)``: ``n_bar - m``
+    keeps only the leading digits of a small ``n_bar`` (none below
+    ``1e-16``). The series remainder is overwritten with the table where
+    ``m <= 15``. Each overwrite touches only its own photon numbers, so the
+    full range pays for one log and one series.
     """
-    m = n + 1.0
+    m = np.atleast_1d(n) + 1.0  # indexable, for the overwrites below
     d = (n_bar - m) / m
-    log_ratio = np.where(d < -0.5, np.log(n_bar / m), np.log1p(np.maximum(d, -0.5)))
+    log_ratio = np.log1p(np.maximum(d, -0.5))
+    low = d < -0.5
+    log_ratio[low] = np.log(n_bar / m[low])
     r2 = 1.0 / (m * m)
-    series = (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188)))) / m
-    remainder = np.where(m > 15, series, _STIRLING_TABLE[np.minimum(m, 15).astype(np.intp)])
-    return (m * (log_ratio - d) - remainder + 0.5 * np.log(m)
-            - (_HALF_LOG_2PI + math.log(n_bar)))
+    remainder = (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188)))) / m
+    small = m <= 15
+    remainder[small] = _STIRLING_TABLE[m[small].astype(np.intp)]
+    log_w = (m * (log_ratio - d) - remainder + 0.5 * np.log(m)
+             - (_HALF_LOG_2PI + math.log(n_bar)))
+    return log_w.reshape(np.shape(n))
 
 
 def poisson_weight(n, n_bar: float):
@@ -203,6 +214,24 @@ def _first_nonzero_photon_number(n_bar: float) -> int:
     return hi
 
 
+def _unit_phases(x: float, k_lo: int, k_hi: int) -> np.ndarray:
+    """``exp(i x k)`` for ``k_lo <= k < k_hi``, one complex ``exp`` per 64 values of ``k``.
+
+    Writes ``k = 64 q + r`` and takes the outer product of a coarse table
+    ``exp(i x 64 q)`` and a fine one ``exp(i x r)`` for ``r = 0..63``. Both
+    are anchored at ``k = 0`` rather than at ``k_lo``, so a phase does not
+    depend on where its range starts: the slice ``[a:]`` of the range from
+    0 is bit-equal to the range from ``a``. Each phase is exact to the
+    rounding of its two arguments, as ``exp(1j * x * k)`` is to that of
+    ``x * k``; ``x = 0`` gives exact ones.
+    """
+    q_lo, q_hi = k_lo // 64, -(-k_hi // 64)
+    coarse = np.exp(1j * x * (64.0 * np.arange(q_lo, q_hi)))
+    fine = np.exp(1j * x * np.arange(64.0))
+    start = k_lo - 64 * q_lo
+    return np.multiply.outer(coarse, fine).ravel()[start:start + k_hi - k_lo]
+
+
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     """Fock amplitudes ``c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!)`` up to ``n_max``.
 
@@ -212,8 +241,9 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     returns a new array. The vector always starts at ``n = 0``. Amplitudes
     below :func:`_first_nonzero_photon_number` (5 043 of the 11 221 at
     ``n_bar = 1e4``) would underflow to exact zeros, so they are set to 0
-    without evaluating them; the complex ``exp`` of the log amplitude runs
-    from there up.
+    without evaluating them. From there up each amplitude is the real
+    ``sqrt(w_n)`` times the phase ``exp(i n arg(alpha))`` of
+    :func:`_unit_phases`.
     """
     alpha = complex(alpha)
     n_bar = abs(alpha) ** 2
@@ -223,8 +253,8 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
         return amps
     start = min(_first_nonzero_photon_number(n_bar), n_max + 1)
     n = np.arange(start, n_max + 1, dtype=float)
-    np.exp(0.5 * _log_poisson_weight(n, n_bar) + 1j * cmath.phase(alpha) * n,
-           out=amps[start:])
+    np.multiply(np.exp(0.5 * _log_poisson_weight(n, n_bar)),
+                _unit_phases(cmath.phase(alpha), start, n_max + 1), out=amps[start:])
     return amps
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitytherm import cli, dynamics, validation
+from cavitytherm import cli, dynamics, hilbert, validation
 from cavitytherm.analytic import Timescales
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -218,6 +218,21 @@ class TestRunCommand:
         assert code == 3
         assert "numeric failure" in err
         assert "need n_max >= 86" in err
+
+    def test_out_of_memory_is_a_numeric_failure_naming_n_bar(self, capsys, monkeypatch):
+        # A field too bright for memory fails where numpy first allocates
+        # for it; the mass sum stands in for that allocation here.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape "
+                              "(1000000040,) and data type float64")
+
+        monkeypatch.setattr(hilbert, "coherent_mass", no_memory)
+        code, out, err = run_cli(capsys, "run", "--n-bar", "1e4")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "numeric failure: out of memory at n_bar=10000.0: Unable to allocate "
+            "7.45 GiB for an array with shape (1000000040,) and data type float64"]
 
 
 class TestFigRho01:

@@ -9,6 +9,7 @@ propagator.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,7 +70,7 @@ def rotate_every_block(state: hilbert.JointPureState, t: float) -> np.ndarray:
     out = np.empty_like(amps)
     out[0] = amps[0]
     k = np.arange(1.0, n_max + 1.0)
-    phase = np.cos(omega * k * t) - 1j * np.sin(omega * k * t)
+    phase = hilbert._unit_phases(-omega * t, 1, n_max + 1)
     c, s = np.cos(g * np.sqrt(k) * t), np.sin(g * np.sqrt(k) * t)
     a_e, a_g = amps[1:2 * n_max:2], amps[2::2]
     out[1:2 * n_max:2] = phase * (c * a_e - 1j * s * a_g)
@@ -83,7 +84,7 @@ def states_with_zero_runs() -> list[tuple[str, hilbert.JointPureState]]:
     dim = 2 * (n_max + 1)
     rng = np.random.default_rng(17)
     cases = []
-    for lo, hi in ((7, 41), (8, 40), (1, dim - 1), (3, 4)):
+    for lo, hi in ((7, 41), (8, 40), (1, dim - 1), (3, 4), (1, 20), (30, dim)):
         amps = np.zeros(dim, dtype=complex)
         amps[lo:hi] = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
         cases.append((f"zeros outside [{lo}, {hi})", amps))
@@ -109,6 +110,21 @@ class TestZeroBlockSkip:
     def test_equals_the_rotation_of_every_block(self, name, state, t):
         assert np.array_equal(dynamics.propagate(state, t).amplitudes,
                               rotate_every_block(state, t))
+
+
+def test_cross_check_allocation_stays_lean():
+    # One exact cross-check at n_bar = 1e4 peaks at 1.25 MiB of traced
+    # allocation; an extra full-length temporary in the amplitudes, the
+    # propagator or the trace (180 KiB complex at n_max = 11 220) breaks it.
+    args = (300.0, 100.0, PhysicalParams(), LEVEL_E, 11220)
+    dynamics.coherence_from_propagator(*args)  # warm-up
+    tracemalloc.start()
+    try:
+        dynamics.coherence_from_propagator(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.30 * 2 ** 20
 
 
 class TestVacuumRabi:

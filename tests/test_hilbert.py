@@ -51,6 +51,68 @@ class TestPoissonWeight:
             hilbert.poisson_weight(1, -1.0)
 
 
+def log_weight_by_where(n: np.ndarray, n_bar: float) -> np.ndarray:
+    """Loader's log weight with both branches taken over the whole range."""
+    m = n + 1.0
+    d = (n_bar - m) / m
+    log_ratio = np.where(d < -0.5, np.log(n_bar / m), np.log1p(np.maximum(d, -0.5)))
+    r2 = 1.0 / (m * m)
+    series = (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188)))) / m
+    remainder = np.where(m > 15, series,
+                         hilbert._STIRLING_TABLE[np.minimum(m, 15).astype(np.intp)])
+    return (m * (log_ratio - d) - remainder + 0.5 * np.log(m)
+            - (0.5 * math.log(2.0 * math.pi) + math.log(n_bar)))
+
+
+class TestLogPoissonWeight:
+    @pytest.mark.parametrize("n_bar", [1e-12, 0.3, 36.0, 1e3, 1e4, 1e5])
+    def test_equals_both_branches_over_the_range(self, n_bar):
+        # Overwriting the far tail and the small-m remainder in place gives
+        # the same bits as selecting them with np.where.
+        rng = np.random.default_rng(23)
+        ordered = np.arange(0.0, math.ceil(2.0 * n_bar) + 200.0)  # m <= 15 and m > 2 n_bar
+        unsorted = np.array([40.0, 3.0, 0.0, 15.0, 14.0])
+        for n in (ordered, rng.permutation(ordered), unsorted, np.asarray(3.0)):
+            log_w = hilbert._log_poisson_weight(n, n_bar)
+            assert log_w.shape == n.shape
+            assert np.array_equal(log_w, log_weight_by_where(n, n_bar))
+
+
+EPS = np.finfo(float).eps
+
+
+class TestUnitPhases:
+    @pytest.mark.parametrize("x", [0.4, -2.5, -0.9, -314.1592653589793, 7e4])
+    @pytest.mark.parametrize("k_lo, k_hi", [(0, 200), (60, 70), (127, 129), (1000, 1100)])
+    def test_matches_the_direct_exponential(self, x, k_lo, k_hi):
+        # Both sides round x k (the table in two parts), so they agree to
+        # that rounding, 2 eps |x| k, plus a few eps from exp and the product.
+        k = np.arange(k_lo, k_hi, dtype=float)
+        phases = hilbert._unit_phases(x, k_lo, k_hi)
+        assert phases.shape == k.shape
+        assert np.all(np.abs(phases - np.exp(1j * x * k)) <= 4 * EPS + 2 * EPS * abs(x) * k)
+
+    @pytest.mark.parametrize("a", [0, 1, 63, 64, 65, 128, 200, 299])
+    def test_anchored_at_zero(self, a):
+        for x in (0.4, -314.1592653589793, 7e4):
+            assert np.array_equal(hilbert._unit_phases(x, a, 300),
+                                  hilbert._unit_phases(x, 0, 300)[a:])
+
+    @pytest.mark.parametrize("k", [0, 5, 64, 130])
+    def test_empty_range(self, k):
+        phases = hilbert._unit_phases(1.3, k, k)
+        assert phases.shape == (0,)
+        assert phases.dtype == np.complex128
+
+    def test_first_phase_is_one(self):
+        assert np.array_equal(hilbert._unit_phases(-2.5, 0, 1), np.array([1.0 + 0.0j]))
+
+    def test_zero_frequency_gives_exact_ones(self):
+        phases = hilbert._unit_phases(0.0, 3, 300)
+        assert np.array_equal(phases.real, np.ones(297))
+        assert np.array_equal(phases.imag, np.zeros(297))
+
+
 class TestCoherentAmplitudes:
     def test_squares_match_poisson(self):
         amps = hilbert.coherent_amplitudes(6.0, 120)
@@ -85,7 +147,8 @@ class TestCoherentAmplitudes:
     @pytest.mark.parametrize("phi", [0.0, 0.7, -2.5])
     def test_equals_the_full_range_evaluation(self, n_bar, phi):
         # The amplitudes left out of the evaluation are exactly the ones
-        # that underflow to 0; every other one is the same complex exp.
+        # that underflow to 0; every other one is the same modulus times
+        # the same phase, from tables anchored at n = 0.
         alpha = math.sqrt(n_bar) * complex(math.cos(phi), math.sin(phi))
         n_max = hilbert.default_cutoff(n_bar)
         if n_bar == 0.0:
@@ -93,8 +156,8 @@ class TestCoherentAmplitudes:
             full[0] = 1.0
         else:
             n = np.arange(n_max + 1, dtype=float)
-            full = np.exp(0.5 * hilbert._log_poisson_weight(n, abs(alpha) ** 2)
-                          + 1j * math.atan2(alpha.imag, alpha.real) * n)
+            full = (np.exp(0.5 * hilbert._log_poisson_weight(n, abs(alpha) ** 2))
+                    * hilbert._unit_phases(math.atan2(alpha.imag, alpha.real), 0, n_max + 1))
         assert np.array_equal(hilbert.coherent_amplitudes(alpha, n_max), full)
 
     def test_bright_field_skips_its_underflowed_head(self):
