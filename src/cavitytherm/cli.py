@@ -276,17 +276,17 @@ def cmd_fig_rho01(spec: RunSpec) -> int:
     for _, suffix in levels:
         fieldnames += [f"re_num{suffix}", f"im_num{suffix}"]
     fieldnames += ["re_analytic", "im_analytic"]
-    rows = []
-    for t in grid:
-        row: dict = {"t": float(t)}
-        for atom, suffix in atoms:
-            num = field_step.evolve(atom, float(t)).rho01
-            row[f"re_num{suffix}"] = num.real
-            row[f"im_num{suffix}"] = num.imag
-        ana = rho01_analytic(float(t), spec.n_bar, spec.params, spec.phi)
+    rows = [{"t": float(t)} for t in grid]
+    for atom, suffix in atoms:
+        for row, rho in zip(rows, field_step.evolve_grid(atom, grid)):
+            if isinstance(rho, ValueError):
+                raise rho
+            row[f"re_num{suffix}"] = rho.rho01.real
+            row[f"im_num{suffix}"] = rho.rho01.imag
+    for row in rows:
+        ana = rho01_analytic(row["t"], spec.n_bar, spec.params, spec.phi)
         row["re_analytic"] = ana.real
         row["im_analytic"] = ana.imag
-        rows.append(row)
     _write_output(spec, fieldnames, rows)
     return 0
 

@@ -14,8 +14,11 @@ Three routes to the same physics, each held to the next:
 * :func:`evolve_atom_field_mixture` is the reduced-state kernel the pipeline
   runs: the closed photon-number series for a diagonal atom and a coherent
   field, evaluated over real cos/sin vectors. Its field half,
-  :class:`FieldStep`, is built once per field; its per-time half,
-  :meth:`FieldStep.evolve`, is what a sweep repeats.
+  :class:`FieldStep`, is built once per field; its time half,
+  :meth:`FieldStep.evolve_grid`, evaluates a whole grid of times in chunks
+  of at most ``_CHUNK_ELEMENTS`` angles, and :meth:`FieldStep.evolve` is
+  its one-point case. Each time keeps its own dot products and carrier, so
+  a state has the same bits on any grid.
 * :func:`coherence_from_propagator` is its cross-check: :func:`propagate`
   applies the closed-form block propagator to the joint pure state and
   :func:`~cavitytherm.hilbert.partial_trace_field` traces the field out.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -137,6 +141,11 @@ def check_interaction_time(t: float) -> None:
         raise ValueError(f"interaction_time must be non-negative and finite, got {t}")
 
 
+# Elements of one chunk of the grid step's (times x photon numbers)
+# temporaries. A window wider than this is evaluated one time per chunk.
+_CHUNK_ELEMENTS = 2048
+
+
 class FieldStep:
     """The field half of :func:`evolve_atom_field_mixture`, built once per field.
 
@@ -144,9 +153,18 @@ class FieldStep:
     of ``prep``: the Poisson weights ``w_n`` for ``n_lo <= n <= n_max``, the
     products ``a_n a_{n+1}`` of their square roots, the table ``sqrt(k)``
     for ``n_lo <= k <= n_max + 1`` and ``arg(alpha)``. The weight sum is
-    norm-checked against overshoot. Every table starts at ``n_lo``, so
-    :meth:`evolve`, the per-time step, indexes them as it would from 0; one
-    field step serves every time and initial atom of a sweep or figure.
+    norm-checked against overshoot. Every table starts at ``n_lo``, so the
+    series indexes them as it would from 0; one field step serves every
+    time and initial atom of a sweep or figure.
+
+    The series runs over a grid of times, :meth:`evolve_grid`; :meth:`evolve`
+    is its one-point case. The grid step evaluates the elementwise work
+    (the Rabi angles, their cos and sin, the squares and the envelope
+    products) for a chunk of times at once, at most ``_CHUNK_ELEMENTS``
+    elements per temporary and never less than one time. Each time keeps
+    its own three ``np.dot`` reductions over contiguous rows and its own
+    scalar carrier, so a state is the same bits whatever the grid and the
+    chunk it sits in.
     """
 
     __slots__ = ("g", "omega", "phase", "weights", "pairs", "root_k")
@@ -165,25 +183,81 @@ class FieldStep:
 
     def evolve(self, atom: AtomDensity, t: float) -> AtomDensity:
         """Reduced state of the diagonal ``atom`` after time ``t`` in this field."""
+        (rho,) = self.evolve_grid(atom, (t,))
+        if isinstance(rho, ValueError):
+            raise rho
+        return rho
+
+    def evolve_grid(self, atom: AtomDensity,
+                    times: Sequence[float]) -> list[AtomDensity | ValueError]:
+        """Reduced states of the diagonal ``atom`` after each of ``times``.
+
+        Entry ``i`` is the state after ``times[i]``, or the ``ValueError``
+        that rejects that time or its state: a negative, infinite or NaN
+        time, a time whose largest Rabi angle ``g sqrt(n_max + 1) t``
+        overflows, or a state that fails the checks of ``AtomDensity``. The
+        other entries do not depend on the rejected ones. A zero time is the
+        identity and its entry is ``atom`` itself: the series leaves ~1e-16
+        dust in rho11, enough to turn a maximally mixed atom's infinite
+        temperature into a finite ~1e15 reading. A non-diagonal ``atom``
+        raises for the whole grid.
+        """
         if atom.rho01 != 0:
             raise ValueError(
                 f"the atom must be diagonal (thermal), got rho01 = {atom.rho01}")
-        check_interaction_time(t)
-        if t == 0.0:
-            # Zero evolution is the identity. Echo the input bit-exactly: the
-            # series leaves ~1e-16 dust in rho11, enough to turn a maximally
-            # mixed atom's infinite temperature into a finite ~1e15 reading.
-            return atom
-        w = self.weights
-        theta = (self.g * t) * self.root_k
-        c = np.cos(theta)
-        c[-1] = 1.0
-        s = np.sin(theta[:-1])
-        p = atom.rho11
-        rho11 = p * np.dot(w, c[1:] ** 2) + (1.0 - p) * np.dot(w, s ** 2)
-        envelope = np.dot(self.pairs, s[1:] * ((1.0 - p) * c[:-2] - p * c[2:]))
-        carrier = cmath.exp(1j * (self.omega * t - self.phase))
-        return AtomDensity(rho11, 1j * carrier * envelope)
+        times = [float(t) for t in times]
+        top = float(self.root_k[-1])
+        states: list = []
+        run = []  # the positions the series evaluates
+        for i, t in enumerate(times):
+            try:
+                check_interaction_time(t)
+                if not math.isfinite((self.g * t) * top):
+                    raise ValueError("interaction_time overflows the Rabi angle "
+                                     f"g sqrt(n_max + 1) t, got {t}")
+            except ValueError as exc:
+                states.append(exc)
+                continue
+            states.append(atom)
+            if t != 0.0:
+                run.append(i)
+        rho11, envelope = self._series(atom.rho11, np.array([times[i] for i in run]))
+        for i, pop, env in zip(run, rho11, envelope):
+            carrier = cmath.exp(1j * (self.omega * times[i] - self.phase))
+            try:
+                states[i] = AtomDensity(pop, 1j * carrier * env)
+            except ValueError as exc:
+                states[i] = exc
+        return states
+
+    def _series(self, p: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``rho11`` and the real coherence envelope after each of ``times``.
+
+        The times must be positive, with finite Rabi angles. A chunk of
+        ``_CHUNK_ELEMENTS // K`` times (at least one) lays its rows of
+        ``K = root_k.size`` angles end to end, so every elementwise step is
+        one contiguous pass and row ``r`` starts at ``r K`` in each of them;
+        the few values that straddle two rows are never read. Each row's
+        three dot products are taken on their own.
+        """
+        w, pairs = self.weights, self.pairs
+        k, n = self.root_k.size, w.size  # n = k - 1
+        rho11, envelope = np.empty(times.size), np.empty(times.size)
+        g_t = self.g * times
+        rows = max(1, _CHUNK_ELEMENTS // k)
+        for lo in range(0, times.size, rows):
+            theta = (g_t[lo:lo + rows, None] * self.root_k).ravel()
+            c = np.cos(theta)
+            c[k - 1::k] = 1.0
+            s = np.sin(theta[:-1])
+            c_sq, s_sq = c[1:] ** 2, s ** 2
+            mix = (1.0 - p) * c[:-2]
+            mix -= p * c[2:]
+            mix *= s[1:]
+            for i, o in zip(range(lo, times.size), range(0, theta.size, k)):
+                rho11[i] = p * w.dot(c_sq[o:o + n]) + (1.0 - p) * w.dot(s_sq[o:o + n])
+                envelope[i] = pairs.dot(mix[o:o + n - 1])
+        return rho11, envelope
 
 
 def evolve_atom_field_mixture(atom: AtomDensity, alpha: complex, t: float,

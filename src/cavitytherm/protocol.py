@@ -152,14 +152,16 @@ class ProtocolResult:
     pulse_residual: float
 
 
-def _point_runner(config: ProtocolConfig):
-    """The protocol as a function of the interaction time alone.
+def _protocol_steps(config: ProtocolConfig):
+    """What the protocol builds once, and its per-point finish.
 
-    Builds what does not depend on ``t`` once (the kernel's field step, the
-    initial atom, the timescales, the field phase) and returns the per-point
-    step ``t -> ProtocolResult`` that :func:`run_protocol` calls once and
-    :func:`sweep_interaction_time` once per grid point. The step rejects a
-    bad ``t`` with the same message as :class:`ProtocolConfig`.
+    Builds what does not depend on ``t`` (the kernel's field step, the
+    initial atom, the timescales, the field phase) and returns the field
+    step, the atom and the step ``(t, rho_pre) -> ProtocolResult`` that
+    pulses and reads out the state the kernel evolved for time ``t``.
+    :func:`run_protocol` evolves one time and :func:`sweep_interaction_time`
+    its whole grid in one :meth:`~cavitytherm.dynamics.FieldStep.evolve_grid`
+    call before it finishes each point.
     """
     prep, physical = config.prep, config.physical
     field_step = FieldStep(prep, physical)
@@ -169,8 +171,7 @@ def _point_runner(config: ProtocolConfig):
     phi = prep.phi
     explicit = config.pulse_mode == "explicit_unitary"
 
-    def run_point(t: float) -> ProtocolResult:
-        rho_pre = field_step.evolve(atom, t)
+    def finish(t: float, rho_pre: AtomDensity) -> ProtocolResult:
         if explicit:
             rho_post = pi_half_pulse(rho_pre, cooling_axis_azimuth(t, phi, physical))
         else:
@@ -195,7 +196,7 @@ def _point_runner(config: ProtocolConfig):
             pulse_residual=residual,
         )
 
-    return run_point
+    return field_step, atom, finish
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -207,7 +208,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     whether the phase-locked pulse left the state diagonal to within
     ``PULSE_RESIDUAL_TOLERANCE``.
     """
-    return _point_runner(config)(config.interaction_time)
+    field_step, atom, finish = _protocol_steps(config)
+    t = config.interaction_time
+    return finish(t, field_step.evolve(atom, t))
 
 
 @dataclass(frozen=True)
@@ -227,14 +230,25 @@ class SweepPoint:
         return self.error is None
 
 
+def _unset_point(t: float, setup_error: str) -> SweepPoint:
+    """A point of a sweep that could not be set up: its time's error or the setup's."""
+    try:
+        check_interaction_time(t)
+    except ValueError as exc:
+        return SweepPoint(t=t, result=None, error=str(exc))
+    return SweepPoint(t=t, result=None, error=setup_error)
+
+
 def sweep_interaction_time(config: ProtocolConfig,
                            t_grid: Sequence[float]) -> list[SweepPoint]:
     """Run the protocol over an ascending grid of interaction times.
 
     The field step, initial atom and timescales are built once for the whole
-    grid. A point whose time is rejected (negative, infinite or NaN) records
-    the error and the sweep goes on; NaN points are left out of the
-    ascending check, so they cannot hide a descent around them.
+    grid, and the kernel evaluates every time in one grid call before the
+    pulse and readout run point by point. A point whose time or state is
+    rejected (a negative, infinite or NaN time, or one whose Rabi angle
+    overflows) records the error and the sweep goes on; NaN points are left
+    out of the ascending check, so they cannot hide a descent around them.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
@@ -243,17 +257,17 @@ def sweep_interaction_time(config: ProtocolConfig,
     if any(b < a for a, b in zip(ordered, ordered[1:])):
         raise ValueError("t_grid must be ascending")
     try:
-        run_point = _point_runner(config)
+        field_step, atom, finish = _protocol_steps(config)
+        states = field_step.evolve_grid(atom, t_grid)
     except Exception as exc:  # noqa: BLE001 - the same failure at every point
-        setup_error = str(exc)
-
-        def run_point(t: float) -> ProtocolResult:
-            check_interaction_time(t)
-            raise ValueError(setup_error)
+        return [_unset_point(t, str(exc)) for t in t_grid]
     points: list[SweepPoint] = []
-    for t in t_grid:
+    for t, rho_pre in zip(t_grid, states):
+        if isinstance(rho_pre, ValueError):
+            points.append(SweepPoint(t=t, result=None, error=str(rho_pre)))
+            continue
         try:
-            points.append(SweepPoint(t=t, result=run_point(t)))
+            points.append(SweepPoint(t=t, result=finish(t, rho_pre)))
         except Exception as exc:  # noqa: BLE001 - per-point errors are data
             points.append(SweepPoint(t=t, result=None, error=str(exc)))
     return points

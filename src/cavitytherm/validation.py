@@ -113,8 +113,10 @@ def evolved_states_are_densities() -> tuple[bool, str]:
     field_step = dynamics.FieldStep(hilbert.CoherentPrep(DEFAULT_ALPHA))
     atom = hilbert.thermal_atom(1.0)
     worst_det = math.inf
-    for t in np.linspace(0.0, _SCALES.tau_revival, 17):
-        rho = field_step.evolve(atom, float(t))
+    grid = np.linspace(0.0, _SCALES.tau_revival, 17)
+    for t, rho in zip(grid, field_step.evolve_grid(atom, grid)):
+        if isinstance(rho, ValueError):
+            raise rho
         worst_det = min(worst_det, rho.determinant)
         if rho.eigenvalues()[0] < -1e-12:
             return False, f"negative eigenvalue at t={t:.3f}"

@@ -144,6 +144,13 @@ class TestRunCommand:
         assert float(rows[0]["temperature"]) == pytest.approx(1.0, abs=1e-12)
         assert rows[0]["inverted"] == "false"
 
+    def test_overflowing_time_is_a_numeric_failure_naming_it(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--time", "1e308")
+        assert code == 3
+        assert out == ""
+        assert err.strip() == ("numeric failure: interaction_time overflows the Rabi "
+                               "angle g sqrt(n_max + 1) t, got 1e+308")
+
     def test_output_is_byte_stable(self, capsys):
         args = ("run", "--time", "9")
         code_a, out_a, _ = run_cli(capsys, *args)

@@ -8,6 +8,7 @@ propagator.
 
 from __future__ import annotations
 
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -406,6 +407,137 @@ class TestFieldStep:
                             lambda n, n_bar: original(n, n_bar) * (1.0 + 1e-8))
         with pytest.raises(ValueError, match="norm deviates"):
             dynamics.FieldStep(hilbert.CoherentPrep(3.0))
+
+
+def pointwise_series(field_step: dynamics.FieldStep, p: float, t: float):
+    """The kernel's series for one time over 1-d vectors, as a per-point step."""
+    w = field_step.weights
+    theta = (field_step.g * t) * field_step.root_k
+    c = np.cos(theta)
+    c[-1] = 1.0
+    s = np.sin(theta[:-1])
+    rho11 = p * np.dot(w, c[1:] ** 2) + (1.0 - p) * np.dot(w, s ** 2)
+    envelope = np.dot(field_step.pairs, s[1:] * ((1.0 - p) * c[:-2] - p * c[2:]))
+    carrier = cmath.exp(1j * (field_step.omega * t - field_step.phase))
+    return rho11, 1j * carrier * envelope
+
+
+def chunk_rows(field_step: dynamics.FieldStep) -> int:
+    return max(1, dynamics._CHUNK_ELEMENTS // field_step.root_k.size)
+
+
+class TestGridStep:
+    """The kernel over a grid of times, in chunks, bit for bit per point."""
+
+    @pytest.mark.parametrize("n_bar", [2.0, 36.0, 1e4])
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_every_grid_length_equals_the_one_point_series(self, n_bar, tight):
+        # At the smallest valid cutoff the top weight is large enough for the
+        # partnerless top level (C = 1) to show in the bits.
+        alpha = math.sqrt(n_bar) * np.exp(0.7j)
+        n_max = hilbert._required_cutoff(n_bar) if tight else None
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(alpha, n_max))
+        rows = chunk_rows(field_step)
+        assert (rows == 1) == (n_bar == 1e4)  # a bright row fills a chunk alone
+        half = Timescales(n_bar).half_revival
+        for length in sorted({1, max(rows - 1, 1), rows, rows + 1, 3 * rows + 2}):
+            grid = np.linspace(half / length, half, length)
+            for p_e in (0.0, 0.27):
+                atom = hilbert.AtomDensity(p_e)
+                states = field_step.evolve_grid(atom, grid)
+                assert len(states) == length
+                for t, state in zip(grid, states):
+                    alone = field_step.evolve(atom, float(t))
+                    assert (state.rho11, state.rho01) == (alone.rho11, alone.rho01)
+                    assert (state.rho11, state.rho01) == pointwise_series(
+                        field_step, p_e, float(t))
+
+    def test_empty_grid(self):
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))
+        assert field_step.evolve_grid(hilbert.AtomDensity(0.3), []) == []
+
+    @pytest.mark.parametrize("n_bar", [2.0, 36.0, 1e4])
+    def test_rejected_times_keep_their_errors_and_spare_the_rest(self, n_bar):
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(math.sqrt(n_bar)))
+        atom = hilbert.AtomDensity(0.4)
+        grid = list(np.linspace(0.5, Timescales(n_bar).half_revival,
+                                2 * chunk_rows(field_step) + 3))
+        clean = field_step.evolve_grid(atom, grid)
+        finite = "interaction_time must be non-negative and finite, got "
+        bad = {math.nan: finite + "nan", -1.0: finite + "-1.0", math.inf: finite + "inf",
+               1e308: "interaction_time overflows the Rabi angle g sqrt(n_max + 1) t, "
+                      "got 1e+308"}
+        for position in (0, len(grid) // 2, len(grid) - 1):
+            for t_bad, message in bad.items():
+                times = list(grid)
+                times[position] = t_bad
+                states = field_step.evolve_grid(atom, times)
+                assert isinstance(states[position], ValueError)
+                assert str(states[position]) == message
+                for i, (state, kept) in enumerate(zip(states, clean)):
+                    if i != position:
+                        assert (state.rho11, state.rho01) == (kept.rho11, kept.rho01)
+
+    def test_overflowing_time_raises_by_name_without_a_warning(self):
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="interaction_time overflows the Rabi angle"):
+                field_step.evolve(hilbert.AtomDensity(0.3), 1e308)
+            # Huge but finite angles are evaluated (their phase precision is
+            # another matter).
+            field_step.evolve(hilbert.AtomDensity(0.3), 1e300)
+
+    def test_zero_times_return_the_atom_itself(self):
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))
+        atom = hilbert.AtomDensity(0.5)
+        times = [0.0, -0.0, 0.0, 1.5] + [0.0] * (chunk_rows(field_step) + 1) + [2.5]
+        states = field_step.evolve_grid(atom, times)
+        for t, state in zip(times, states):
+            assert (state is atom) == (t == 0.0)
+
+    def test_non_diagonal_atom_rejects_the_grid(self):
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))
+        with pytest.raises(ValueError, match="must be diagonal"):
+            field_step.evolve_grid(hilbert.AtomDensity(0.5, 0.1), [0.0, 1.0])
+
+    @pytest.mark.parametrize("n_bar", [2.0, 36.0, 1e4])
+    @pytest.mark.parametrize("length", [1, 7, 40, 200])
+    def test_no_temporary_exceeds_a_chunk(self, monkeypatch, n_bar, length):
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(math.sqrt(n_bar)))
+        sizes = []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def cos(self, x):
+                sizes.append(x.size)
+                return np.cos(x)
+
+            def sin(self, x):
+                sizes.append(x.size)
+                return np.sin(x)
+
+        monkeypatch.setattr(dynamics, "np", Recording())
+        field_step.evolve_grid(hilbert.AtomDensity(0.3), np.linspace(1.0, 30.0, length))
+        assert sizes
+        assert max(sizes) <= max(dynamics._CHUNK_ELEMENTS, field_step.root_k.size)
+
+    def test_bright_grid_allocation_stays_chunked(self):
+        # 2 000 times at n_bar = 1e4 (2 443 angles a time): one array over the
+        # whole grid would take 39 MB.
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(100.0))
+        atom = hilbert.AtomDensity(0.3)
+        grid = np.linspace(1.0, Timescales(1e4).half_revival, 2000)
+        field_step.evolve_grid(atom, grid[:3])  # warm-up
+        tracemalloc.start()
+        try:
+            field_step.evolve_grid(atom, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
 
 class TestKernelProperties:

@@ -308,6 +308,39 @@ class TestSweep:
             assert abs(swept.reading.pe - alone.reading.pe) <= 1e-15
             assert swept.validity == alone.validity
 
+    def test_overflowing_time_fails_only_its_own_point(self):
+        # A finite time whose Rabi angle g sqrt(n_max + 1) t overflows is
+        # rejected by name, with no numpy warning (warnings are errors here).
+        config = make_config(0.0)
+        grid = [0.0, 0.5, 3.0, 1e308, math.nan]
+        points = protocol.sweep_interaction_time(config, grid)
+        assert [p.ok for p in points] == [True, True, True, False, False]
+        assert points[3].error == (
+            "interaction_time overflows the Rabi angle g sqrt(n_max + 1) t, got 1e+308")
+        clean = protocol.sweep_interaction_time(config, grid[:3])
+        for point, kept in zip(points, clean):
+            assert point.result == kept.result
+
+    def test_overflowing_time_fails_run_protocol_by_name(self):
+        with pytest.raises(ValueError, match="overflows the Rabi angle"):
+            protocol.run_protocol(make_config(1e308))
+
+    def test_zero_time_points_share_the_initial_atom(self):
+        points = protocol.sweep_interaction_time(make_config(0.0), [0.0, 0.0, 1.0])
+        assert points[0].result.rho_pre_pulse is points[1].result.rho_pre_pulse
+        assert points[0].result.rho_pre_pulse == make_config(0.0).initial_atom()
+
+    @pytest.mark.parametrize("n_bar", [2.0, 1e4])
+    def test_sweep_states_equal_the_one_point_kernel(self, n_bar):
+        # Several times share a chunk of the grid call at n_bar = 2 (and 36,
+        # above), one time fills it at 1e4.
+        config = make_config(0.0, prep=CoherentPrep(math.sqrt(n_bar) * np.exp(0.4j)))
+        grid = np.linspace(0.0, Timescales(n_bar).half_revival, 33)
+        field_step = dynamics.FieldStep(config.prep, config.physical)
+        atom = config.initial_atom()
+        for point in protocol.sweep_interaction_time(config, grid):
+            assert point.result.rho_pre_pulse == field_step.evolve(atom, point.t)
+
     def test_field_is_built_once_per_sweep(self, monkeypatch):
         calls = []
         original = hilbert.poisson_weight
