@@ -33,24 +33,28 @@ class ConfigError(ValueError):
     """Bad configuration file or flag combination (exit code 2)."""
 
 
-# Schema of the flat key=value config file; flags of the same name override.
-_CONFIG_KEYS: dict[str, type] = {
-    "n_bar": float,
-    "g": float,
-    "delta_e": float,
-    "phi": float,
-    "time": float,
-    "pe0": float,
-    "initial_beta": float,
-    "cutoff": int,
-    "grid_points": int,
-    "initial_level": str,
-    "pulse_mode": str,
-    "format": str,
-    "out": str,
-}
-
 _INITIAL_LEVELS = ("e", "g", "both")
+_FORMATS = ("csv", "json")
+
+# Every setting, in ``--help`` order: the type a config file or flag value
+# is read as, then the flag's argparse keywords (``None``: config file only).
+# Flags win over the config file. Bounds are checked in ``RunSpec``.
+_SETTINGS: dict[str, tuple[type, dict | None]] = {
+    "out": (str, {"help": "output path (default stdout)"}),
+    "format": (str, {"choices": _FORMATS}),
+    "n_bar": (float, {"help": "mean photon number (fig-tmin/fig-tmax: single-point grid)"}),
+    "g": (float, {"help": "atom-field coupling"}),
+    "delta_e": (float, {"help": "atomic splitting (= field frequency)"}),
+    "phi": (float, {"help": "coherent field phase"}),
+    "time": (float, {"help": "interaction time"}),
+    "pe0": (float, {"help": "initial excited population (else thermal initial_beta)"}),
+    "initial_beta": (float, None),
+    "cutoff": (int, {"help": "Fock cutoff override"}),
+    "grid_points": (int, {"help": "grid size for sweep/figure subcommands"}),
+    "initial_level": (str, {"choices": _INITIAL_LEVELS,
+                            "help": "initial atom level for fig-rho01 (default e)"}),
+    "pulse_mode": (str, {"choices": PULSE_MODES, "help": "how the half pulse is realized"}),
+}
 
 
 def parse_config_file(path: str) -> dict:
@@ -69,13 +73,13 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r} (known: "
-                f"{', '.join(sorted(_CONFIG_KEYS))})"
+                f"{', '.join(sorted(_SETTINGS))})"
             )
         try:
-            values[key] = _CONFIG_KEYS[key](value)
+            values[key] = _SETTINGS[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
@@ -97,7 +101,7 @@ class RunSpec:
     grid_points: int | None = None
     initial_level: str = "e"
     pulse_mode: str = "explicit_unitary"
-    fmt: str = "csv"
+    format: str = "csv"
     out: str | None = None
     n_bar_given: bool = False
 
@@ -131,56 +135,58 @@ class RunSpec:
             raise ConfigError(
                 f"pulse_mode must be one of {PULSE_MODES}, got {self.pulse_mode!r}"
             )
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.format not in _FORMATS:
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
 
     @property
     def params(self) -> PhysicalParams:
         return PhysicalParams(delta_e=self.delta_e, g=self.g)
 
     @property
-    def alpha(self) -> complex:
-        return math.sqrt(self.n_bar) * complex(math.cos(self.phi), math.sin(self.phi))
-
-    @property
     def timescales(self) -> Timescales:
         return Timescales(self.n_bar, self.g)
 
     def prep(self) -> CoherentPrep:
-        return CoherentPrep(self.alpha, self.cutoff)
+        alpha = math.sqrt(self.n_bar) * complex(math.cos(self.phi), math.sin(self.phi))
+        return CoherentPrep(alpha, self.cutoff)
 
-    def protocol_config(self, t: float | None = None) -> ProtocolConfig:
-        kwargs: dict = dict(
-            prep=self.prep(),
-            interaction_time=self.time if t is None else t,
-            physical=self.params,
-            pulse_mode=self.pulse_mode,
-        )
+    def protocol_config(self) -> ProtocolConfig:
         if self.pe0 is not None:
-            kwargs["initial_pe"] = self.pe0
+            initial = {"initial_pe": self.pe0}
         else:
-            kwargs["initial_beta"] = 1.0 if self.initial_beta is None else self.initial_beta
-        return ProtocolConfig(**kwargs)
+            initial = {"initial_beta": 1.0 if self.initial_beta is None else self.initial_beta}
+        return ProtocolConfig(prep=self.prep(), interaction_time=self.time,
+                              physical=self.params, pulse_mode=self.pulse_mode, **initial)
 
 
 _UNITS_COMMENT = "# units: temperatures in delta_e/k_B, times in 1/g"
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _plain_value(value):
+    """A cell as a Python scalar: numpy bools and ints unwrapped, +/-inf as tokens.
+
+    NaN is refused. CSV and JSON output both go through here.
+    """
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
     if isinstance(value, (float, np.floating)):
         value = float(value)
         if math.isnan(value):
             raise ValueError("refusing to emit NaN")
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _fmt_cell(value) -> str:
+    value = _plain_value(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
         return f"{value:.17g}"
-    if value is None:
-        return ""
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _render_csv(fieldnames: list[str], rows: list[dict]) -> str:
@@ -193,35 +199,16 @@ def _render_csv(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _sanitize_json(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize_json(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if math.isnan(value):
-            raise ValueError("refusing to emit NaN")
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    return obj
-
-
 def _render_json(fieldnames: list[str], rows: list[dict]) -> str:
     payload = {
         "units": {"temperature": "delta_e/k_B", "time": "1/g"},
-        "rows": [_sanitize_json({k: row.get(k) for k in fieldnames}) for row in rows],
+        "rows": [{k: _plain_value(row.get(k)) for k in fieldnames} for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _write_output(spec: RunSpec, fieldnames: list[str], rows: list[dict]) -> None:
-    text = (_render_csv(fieldnames, rows) if spec.fmt == "csv"
+    text = (_render_csv(fieldnames, rows) if spec.format == "csv"
             else _render_json(fieldnames, rows))
     if spec.out is None or spec.out == "-":
         sys.stdout.write(text)
@@ -233,28 +220,21 @@ def _write_output(spec: RunSpec, fieldnames: list[str], rows: list[dict]) -> Non
             raise ConfigError(f"cannot write {spec.out}: {exc}") from exc
 
 
-def _result_row(t: float, result) -> dict:
-    pre = bloch_vector(result.rho_pre_pulse)
-    post = bloch_vector(result.rho_post_pulse)
-    return {
-        "t": t,
-        "pe": result.reading.pe,
-        "temperature": result.reading.temperature,
-        "inverted": result.reading.inverted,
-        "collapse_completed": result.validity.collapse_completed,
-        "within_half_revival": result.validity.within_half_revival,
-        "pulse_residual_ok": result.validity.pulse_residual_ok,
-        "pulse_residual": result.pulse_residual,
-        "pre_x": pre[0], "pre_y": pre[1], "pre_z": pre[2],
-        "post_x": post[0], "post_y": post[1], "post_z": post[2],
-    }
-
-
 _RUN_FIELDS = [
     "t", "pe", "temperature", "inverted", "collapse_completed",
     "within_half_revival", "pulse_residual_ok", "pulse_residual",
     "pre_x", "pre_y", "pre_z", "post_x", "post_y", "post_z",
 ]
+
+
+def _result_row(t: float, result) -> dict:
+    reading, validity = result.reading, result.validity
+    return dict(zip(_RUN_FIELDS, (
+        t, reading.pe, reading.temperature, reading.inverted,
+        validity.collapse_completed, validity.within_half_revival,
+        validity.pulse_residual_ok, result.pulse_residual,
+        *bloch_vector(result.rho_pre_pulse), *bloch_vector(result.rho_post_pulse),
+    ), strict=True))
 
 
 def cmd_run(spec: RunSpec) -> int:
@@ -342,9 +322,9 @@ def cmd_validate(spec: RunSpec) -> int:
     report = run_all_checks()
     to_file = spec.out is not None and spec.out != "-"
     # On stdout the JSON report replaces the text one; CSV goes only to a file.
-    if to_file or spec.fmt == "csv":
+    if to_file or spec.format == "csv":
         print(report.format_report())
-    if to_file or spec.fmt == "json":
+    if to_file or spec.format == "json":
         rows = [
             {"name": c.name, "passed": c.passed, "duration": c.duration,
              "detail": c.detail}
@@ -355,12 +335,12 @@ def cmd_validate(spec: RunSpec) -> int:
 
 
 _COMMANDS = {
-    "run": cmd_run,
-    "fig-rho01": cmd_fig_rho01,
-    "fig-tmin": cmd_fig_tmin,
-    "fig-tmax": cmd_fig_tmax,
-    "sweep": cmd_sweep,
-    "validate": cmd_validate,
+    "run": (cmd_run, "run the protocol once and emit one record"),
+    "fig-rho01": (cmd_fig_rho01, "coherence vs time: exact and closed form"),
+    "fig-tmin": (cmd_fig_tmin, "floor temperature vs mean photon number"),
+    "fig-tmax": (cmd_fig_tmax, "ceiling temperature vs mean photon number (both variants)"),
+    "sweep": (cmd_sweep, "sweep the interaction time over a grid"),
+    "validate": (cmd_validate, "run the full self-validation battery"),
 }
 
 
@@ -374,49 +354,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("run", "run the protocol once and emit one record"),
-        ("fig-rho01", "coherence vs time: exact and closed form"),
-        ("fig-tmin", "floor temperature vs mean photon number"),
-        ("fig-tmax", "ceiling temperature vs mean photon number (both variants)"),
-        ("sweep", "sweep the interaction time over a grid"),
-        ("validate", "run the full self-validation battery"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], dest="fmt")
-        p.add_argument("--n-bar", type=float, dest="n_bar",
-                       help="mean photon number (fig-tmin/fig-tmax: single-point grid)")
-        p.add_argument("--g", type=float, help="atom-field coupling")
-        p.add_argument("--delta-e", type=float, dest="delta_e",
-                       help="atomic splitting (= field frequency)")
-        p.add_argument("--phi", type=float, help="coherent field phase")
-        p.add_argument("--time", type=float, help="interaction time")
-        p.add_argument("--pe0", type=float,
-                       help="initial excited population (else thermal initial_beta)")
-        p.add_argument("--cutoff", type=int, help="Fock cutoff override")
-        p.add_argument("--grid-points", type=int, dest="grid_points",
-                       help="grid size for sweep/figure subcommands")
-        p.add_argument("--initial-level", choices=_INITIAL_LEVELS,
-                       dest="initial_level",
-                       help="initial atom level for fig-rho01 (default e)")
-        p.add_argument("--pulse-mode", choices=PULSE_MODES,
-                       dest="pulse_mode", help="how the half pulse is realized")
+        for key, (kind, flag) in _SETTINGS.items():
+            if flag is not None:
+                p.add_argument("--" + key.replace("_", "-"), type=kind, **flag)
     return parser
 
 
 def _build_spec(args: argparse.Namespace) -> RunSpec:
-    settings: dict = {}
-    if args.config:
-        settings.update(parse_config_file(args.config))
-    for key in ("n_bar", "g", "delta_e", "phi", "time", "pe0", "cutoff",
-                "grid_points", "initial_level", "pulse_mode", "fmt", "out"):
+    settings = parse_config_file(args.config) if args.config else {}
+    for key in _SETTINGS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
-    if "format" in settings:
-        settings["fmt"] = settings.pop("format")
     return RunSpec(command=args.command, n_bar_given="n_bar" in settings, **settings)
 
 
@@ -425,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _build_spec(args)
-        return _COMMANDS[spec.command](spec)
+        return _COMMANDS[spec.command][0](spec)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,12 +84,11 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
     partner lies outside the truncation, evolves by its bare phase alone.
 
     Block ``n`` is the adjacent pair ``amps[2n+1], amps[2n+2]``. A block
-    of two exact zeros rotates to two exact zeros, so only the blocks from
-    the first nonzero amplitude's to the last's are rotated and the rest of
-    the output is left 0; a bright coherent field is 0 below about ``50
-    sqrt(n_bar)`` under its mean (45% of the vector at ``n_bar = 1e4``).
-    An end is scanned only when its own block is all zero (the head of a
-    bright field, not its tail), by ``argmax`` over a ``!= 0`` mask of the
+    of two exact zeros rotates to two exact zeros, so the blocks before the
+    first nonzero amplitude's are not rotated and their output is left 0; a
+    bright coherent field is 0 below about ``50 sqrt(n_bar)`` under its mean
+    (45% of the vector at ``n_bar = 1e4``). The head is scanned only when
+    its first block is all zero, by ``argmax`` over a ``!= 0`` mask of the
     real view, without an index array.
 
     The blocks are rotated on strided views of the amplitudes, ``|e,n>`` at
@@ -109,22 +108,17 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
 
     out[2 * 0 + LEVEL_G] = amps[2 * 0 + LEVEL_G]
 
-    lo, hi = 0, n_max  # the blocks [lo, hi) are rotated
-    if n_max:
+    lo = 0  # the blocks [lo, n_max) are rotated
+    if n_max and not (amps[1] or amps[2]):
         flat = amps.view(np.float64)  # real, imag of each amplitude in turn
-        if not (amps[1] or amps[2]):
-            first = int((flat != 0).argmax()) // 2
-            lo = max((first - 1) // 2, 0)
-        if not (amps[-3] or amps[-2]):
-            last = amps.size - 1 - int((flat[::-1] != 0).argmax()) // 2
-            hi = min((last + 1) // 2, n_max)
-    if lo < hi:
-        k = np.arange(lo + 1.0, hi + 1.0)  # n + 1
-        phase = _unit_phases(-omega * t, lo + 1, hi + 1)
+        lo = max((int((flat != 0).argmax()) // 2 - 1) // 2, 0)
+    if lo < n_max:
+        k = np.arange(lo + 1.0, n_max + 1.0)  # n + 1
+        phase = _unit_phases(-omega * t, lo + 1, n_max + 1)
         theta = g * np.sqrt(k) * t
         c, s = np.cos(theta), np.sin(theta)
-        e_n = slice(2 * lo + LEVEL_E, 2 * hi, 2)
-        g_next = slice(2 * lo + 2 + LEVEL_G, 2 * hi + 1, 2)
+        e_n = slice(2 * lo + LEVEL_E, 2 * n_max, 2)
+        g_next = slice(2 * lo + 2 + LEVEL_G, 2 * n_max + 1, 2)
         a_e, a_g = amps[e_n], amps[g_next]
         out[e_n] = phase * (c * a_e - 1j * s * a_g)
         out[g_next] = phase * (-1j * s * a_e + c * a_g)

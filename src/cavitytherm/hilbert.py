@@ -9,7 +9,10 @@ Conventions used across the package (natural units, hbar = k_B = 1):
 * The atomic coherence is stored as ``rho01 = <g|rho|e>``, so the Bloch
   components are ``x = 2 Re rho01``, ``y = 2 Im rho01``, ``z = 2 rho11 - 1``.
 * Truncated coherent-state amplitude vectors are never renormalized; the
-  missing tail mass is tracked explicitly. :class:`CoherentPrep` is the one
+  missing tail mass is tracked explicitly. They start at ``n = 0``, but the
+  head that underflows to exact zeros is set to 0 unevaluated, up to a
+  closed-form start from Poisson's lower-tail bound
+  (:func:`coherent_amplitudes`). :class:`CoherentPrep` is the one
   place a Fock window ``[n_lo, n_max]`` is validated: both the head below
   ``n_lo`` and the tail above ``n_max`` are held to ``DEFAULT_TAIL_TOLERANCE``.
 * Poisson weights and the mass of any photon-number range
@@ -188,32 +191,6 @@ def _required_cutoff(n_bar: float) -> int:
 _LOG_WEIGHT_UNDERFLOW = -1510.0
 
 
-def _first_nonzero_photon_number(n_bar: float) -> int:
-    """Photon number below which every coherent amplitude underflows to 0.
-
-    ``log w(n) = n log n_bar - n_bar - lgamma(n + 1)`` rises up to the mean,
-    so a bisection on it finds the first ``n`` where it reaches
-    ``_LOG_WEIGHT_UNDERFLOW``. Each amplitude below that ``n`` is exactly 0
-    in double precision, whichever way either log weight is rounded. It is
-    0 for ``n_bar <= 1510``.
-    """
-    log_n_bar = math.log(n_bar)
-
-    def log_w(n: int) -> float:
-        return n * log_n_bar - n_bar - math.lgamma(n + 1.0)
-
-    if log_w(0) >= _LOG_WEIGHT_UNDERFLOW:
-        return 0
-    lo, hi = 0, math.floor(n_bar)  # log_w(lo) below the floor, log_w(hi) not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if log_w(mid) < _LOG_WEIGHT_UNDERFLOW:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _unit_phases(x: float, k_lo: int, k_hi: int) -> np.ndarray:
     """``exp(i x k)`` for ``k_lo <= k < k_hi``, one complex ``exp`` per 64 values of ``k``.
 
@@ -238,10 +215,12 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     ``|c_n|^2`` is :func:`poisson_weight`, evaluated in log space so large
     ``n_bar`` can neither overflow a factorial nor overshoot unit norm; the
     truncated vector is returned as-is (not renormalized), and each call
-    returns a new array. The vector always starts at ``n = 0``. Amplitudes
-    below :func:`_first_nonzero_photon_number` (5 043 of the 11 221 at
-    ``n_bar = 1e4``) would underflow to exact zeros, so they are set to 0
-    without evaluating them. From there up each amplitude is the real
+    returns a new array. The vector always starts at ``n = 0``. Poisson's
+    lower tail bounds ``w_n <= exp(-(n_bar - n)^2 / (2 n_bar))`` for
+    ``n <= n_bar``, so every amplitude below ``n_bar - sqrt(-2
+    _LOG_WEIGHT_UNDERFLOW n_bar)`` (4 505 of the 11 221 at ``n_bar = 1e4``;
+    none for ``n_bar <= 3020``) underflows to an exact zero and is set to 0
+    without evaluating it. From there up each amplitude is the real
     ``sqrt(w_n)`` times the phase ``exp(i n arg(alpha))`` of
     :func:`_unit_phases`.
     """
@@ -251,7 +230,8 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     if n_bar == 0.0:
         amps[0] = 1.0
         return amps
-    start = min(_first_nonzero_photon_number(n_bar), n_max + 1)
+    head = math.ceil(n_bar - math.sqrt(-2.0 * _LOG_WEIGHT_UNDERFLOW * n_bar))
+    start = min(max(head, 0), n_max + 1)
     n = np.arange(start, n_max + 1, dtype=float)
     np.multiply(np.exp(0.5 * _log_poisson_weight(n, n_bar)),
                 _unit_phases(cmath.phase(alpha), start, n_max + 1), out=amps[start:])

@@ -26,6 +26,23 @@ RUN_FIELDS = [
 
 UNITS_LINE = "# units: temperatures in delta_e/k_B, times in 1/g"
 
+# Every setting flag in --help order: its type, a config-file value and a
+# different, valid flag value.
+SETTING_VALUES = [
+    ("out", str, "from_file.csv", "from_flag.csv"),
+    ("format", str, "csv", "json"),
+    ("n_bar", float, "25", "46"),
+    ("g", float, "1.5", "0.5"),
+    ("delta_e", float, "2", "3"),
+    ("phi", float, "0.1", "0.4"),
+    ("time", float, "7", "9"),
+    ("pe0", float, "0.2", "0.3"),
+    ("cutoff", int, "200", "300"),
+    ("grid_points", int, "5", "7"),
+    ("initial_level", str, "g", "both"),
+    ("pulse_mode", str, "explicit_unitary", "diagonalize"),
+]
+
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
     code = cli.main(list(args))
@@ -69,6 +86,33 @@ class TestConfigFile:
         _, rows = parse_csv(out)
         assert len(rows) == 1
         assert float(rows[0]["n_bar"]) == 46.0
+
+    @pytest.mark.parametrize("key, kind, in_file, on_flag", SETTING_VALUES)
+    def test_every_flag_overrides_its_config_key(self, tmp_path, key, kind, in_file, on_flag):
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(f"{key} = {in_file}\n", encoding="utf-8")
+        argv = ["run", "--config", str(cfg)]
+        from_file = cli._build_spec(cli._build_parser().parse_args(argv))
+        assert type(getattr(from_file, key)) is kind
+        assert getattr(from_file, key) == kind(in_file)
+        flag = "--" + key.replace("_", "-")
+        spec = cli._build_spec(cli._build_parser().parse_args(argv + [flag, on_flag]))
+        assert type(getattr(spec, key)) is kind
+        assert getattr(spec, key) == kind(on_flag) != kind(in_file)
+
+    def test_settings_table_has_twelve_flags_and_one_config_only_key(self):
+        flagged = [key for key, (_, flag) in cli._SETTINGS.items() if flag is not None]
+        assert flagged == [key for key, _, _, _ in SETTING_VALUES]
+        assert set(cli._SETTINGS) - set(flagged) == {"initial_beta"}
+
+    def test_initial_beta_is_config_only(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--initial-beta", "2"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text("initial_beta = 2\n", encoding="utf-8")
+        spec = cli._build_spec(cli._build_parser().parse_args(["run", "--config", str(cfg)]))
+        assert type(spec.initial_beta) is float and spec.initial_beta == 2.0
 
     def test_config_can_set_format(self, capsys, tmp_path):
         cfg = tmp_path / "json.cfg"
@@ -387,8 +431,10 @@ class TestValidate:
     def test_numpy_bools_format_like_python_bools(self):
         assert cli._fmt_cell(np.bool_(True)) == "true"
         assert cli._fmt_cell(np.bool_(False)) == "false"
-        assert cli._sanitize_json(np.bool_(False)) is False
-        assert cli._sanitize_json({"ok": [np.bool_(True)]}) == {"ok": [True]}
+        assert cli._plain_value(np.bool_(False)) is False
+        assert type(cli._plain_value(np.int64(3))) is int
+        assert json.loads(cli._render_json(["ok"], [{"ok": np.bool_(True)}]))["rows"] == [
+            {"ok": True}]
 
     def test_json_report_has_boolean_verdicts(self, capsys, tmp_path, monkeypatch):
         # The fast battery keeps this in-process test quick; the full

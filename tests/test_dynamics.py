@@ -103,7 +103,7 @@ def states_with_zero_runs() -> list[tuple[str, hilbert.JointPureState]]:
 
 
 class TestZeroBlockSkip:
-    """Rotating only the blocks between the outer nonzero amplitudes changes nothing."""
+    """Rotating only the blocks from the first nonzero amplitude's on changes nothing."""
 
     @pytest.mark.parametrize("name, state", states_with_zero_runs(),
                              ids=[name for name, _ in states_with_zero_runs()])
