@@ -160,21 +160,36 @@ class TestCoherentAmplitudes:
                     * hilbert._unit_phases(math.atan2(alpha.imag, alpha.real), 0, n_max + 1))
         assert np.array_equal(hilbert.coherent_amplitudes(alpha, n_max), full)
 
+    @staticmethod
+    def _evaluated_head(n_bar):
+        """Where coherent_amplitudes starts evaluating, and the amplitudes."""
+        log_weight = hilbert._log_poisson_weight
+        evaluated = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hilbert, "_log_poisson_weight",
+                       lambda n, m: evaluated.append(n[0]) or log_weight(n, m))
+            amps = hilbert.coherent_amplitudes(math.sqrt(n_bar), hilbert.default_cutoff(n_bar))
+        assert len(evaluated) == 1
+        return int(evaluated[0]), amps
+
+    def test_bright_field_skips_its_underflowed_head(self):
+        # exp(log w / 2) underflows below n = 5 072 at n_bar = 1e4; evaluation
+        # starts at n_bar - sqrt(-2 floor n_bar) = 4 505, below that.
+        start, amps = self._evaluated_head(1e4)
+        assert start == 4505
+        assert not np.any(amps[:start])
+        assert amps[5071] == 0.0 and amps[5072] != 0.0
+        assert self._evaluated_head(1490.0)[0] == 0
+
     @pytest.mark.parametrize("n_bar, start", [
         (1510.0, 0), (3020.0, 0), (3021.0, 1), (1e4, 4505), (1e5, 82622), (1e6, 945046),
     ])
-    def test_bright_field_skips_its_underflowed_head(self, monkeypatch, n_bar, start):
+    def test_skipped_head_is_all_below_the_floor(self, n_bar, start):
         # Evaluation starts at n_bar - sqrt(-2 floor n_bar), where Poisson's
-        # lower tail puts every log weight below it under the floor. At
-        # n_bar = 1e4, exp(log w / 2) underflows below 5 072.
-        n_max = hilbert.default_cutoff(n_bar)
-        log_weight = hilbert._log_poisson_weight
-        evaluated = []
-        monkeypatch.setattr(hilbert, "_log_poisson_weight",
-                            lambda n, m: evaluated.append(n[0]) or log_weight(n, m))
-        amps = hilbert.coherent_amplitudes(math.sqrt(n_bar), n_max)
-        assert evaluated == [start]
-        log_w = log_weight(np.arange(start, dtype=float), n_bar)
+        # lower tail puts every log weight below it under the floor.
+        evaluated, amps = self._evaluated_head(n_bar)
+        assert evaluated == start
+        log_w = hilbert._log_poisson_weight(np.arange(start, dtype=float), n_bar)
         assert np.all(log_w < hilbert._LOG_WEIGHT_UNDERFLOW)
         assert np.all(np.exp(0.5 * log_w) == 0.0)
         assert not np.any(amps[:start])
