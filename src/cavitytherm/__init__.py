@@ -64,15 +64,13 @@ from .protocol import (
     run_protocol,
     sweep_interaction_time,
 )
-from .validation import CheckResult, ValidationReport, run_all_checks
 
 __all__ = [
     "__version__",
-    "AtomDensity", "CheckResult", "CoherentPrep", "CollapseTime",
+    "AtomDensity", "CoherentPrep", "CollapseTime",
     "JointPureState", "LEVEL_E", "LEVEL_G", "PhysicalParams",
     "ProtocolConfig", "ProtocolResult", "SweepPoint", "TemperatureReading",
-    "Timescales", "TruncationError", "ValidationReport", "ValidityFlags",
-    "ValidityWarning",
+    "Timescales", "TruncationError", "ValidityFlags", "ValidityWarning",
     "atom_density_from_bloch", "bloch_vector",
     "coherence_from_propagator", "coherent_amplitudes",
     "coherent_joint_state", "coherent_mass", "collapse_condition_time",
@@ -82,6 +80,6 @@ __all__ = [
     "partial_trace_field", "pe_after_pulse_analytic", "pe_half_revival",
     "pi_half_pulse", "poisson_weight", "product_state", "propagate",
     "rho01_analytic", "rho11_analytic",
-    "run_all_checks", "run_protocol", "sweep_interaction_time", "t_max",
+    "run_protocol", "sweep_interaction_time", "t_max",
     "t_min", "temperature_from_pe", "thermal_atom", "trace_distance",
 ]

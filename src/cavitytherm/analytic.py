@@ -247,14 +247,17 @@ def t_min(n_bar: float, delta_e: float = 1.0) -> TemperatureReading:
     return temperature_from_pe(pe, delta_e)
 
 
-def lambert_w0(x: float, max_iter: int = 100) -> float:
+_LAMBERT_MAX_ITER = 100  # Halley steps before lambert_w0 gives up
+
+
+def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function for ``x >= 0``.
 
     Halley iteration seeded with ``log1p(x)``; converges in a handful of
     steps on the whole non-negative axis with residual
     ``|W exp(W) - x| <= 1e-12 max(1, x)``. Raises ``ArithmeticError`` if the
-    iteration has not converged after ``max_iter`` steps (unreachable for
-    ``x >= 0``).
+    iteration has not converged after ``_LAMBERT_MAX_ITER`` steps
+    (unreachable for ``x >= 0``).
     """
     x = float(x)
     if not x >= 0.0:
@@ -262,7 +265,7 @@ def lambert_w0(x: float, max_iter: int = 100) -> float:
     if x == 0.0:
         return 0.0
     w = math.log1p(x)
-    for _ in range(max_iter):
+    for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)

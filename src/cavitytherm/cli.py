@@ -26,7 +26,6 @@ from .analytic import Timescales, rho01_analytic, t_max, t_min
 from .dynamics import FieldStep
 from .hilbert import AtomDensity, CoherentPrep, PhysicalParams, bloch_vector
 from .protocol import PULSE_MODES, ProtocolConfig, run_protocol, sweep_interaction_time
-from .validation import run_all_checks
 
 
 class ConfigError(ValueError):
@@ -319,6 +318,8 @@ def cmd_sweep(spec: RunSpec) -> int:
 
 
 def cmd_validate(spec: RunSpec) -> int:
+    from .validation import run_all_checks  # the battery loads only for validate
+
     report = run_all_checks()
     to_file = spec.out is not None and spec.out != "-"
     # On stdout the JSON report replaces the text one; CSV goes only to a file.

@@ -170,7 +170,7 @@ class FieldStep:
         check_norm_deficit(1.0 - float(np.sum(w)))
         a = np.sqrt(w)
         self.g, self.omega = params.g, params.omega
-        self.phase = cmath.phase(prep.alpha)
+        self.phase = prep.phi
         self.weights = w
         self.pairs = a[:-1] * a[1:]
         self.root_k = np.sqrt(np.arange(n_lo, prep.n_max + 2.0))

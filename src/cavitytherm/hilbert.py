@@ -302,7 +302,8 @@ class CoherentPrep:
 
     @property
     def phi(self) -> float:
-        return float(np.angle(self.alpha))
+        """``arg(alpha)``, the one rounding the kernel and the pulse axis share."""
+        return cmath.phase(self.alpha)
 
     def field_amplitudes(self) -> np.ndarray:
         return coherent_amplitudes(self.alpha, self.n_max)

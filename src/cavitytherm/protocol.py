@@ -99,6 +99,8 @@ class ProtocolConfig:
     temperature) must be given. ``pulse_mode`` selects between physically
     applying the phase-locked pulse (``explicit_unitary``) and the axis-free
     reference that diagonalizes the pre-pulse state (``diagonalize``).
+    The field must hold light: a vacuum ``prep`` has no revival timescale
+    and is rejected here ("n_bar must be positive, got 0.0").
     """
 
     prep: CoherentPrep
@@ -123,6 +125,7 @@ class ProtocolConfig:
             raise ValueError(
                 f"pulse_mode must be one of {PULSE_MODES}, got {self.pulse_mode!r}"
             )
+        self.timescales()  # a vacuum prep has none: "n_bar must be positive"
 
     def initial_atom(self) -> AtomDensity:
         if self.initial_pe is not None:
@@ -152,67 +155,6 @@ class ProtocolResult:
     pulse_residual: float
 
 
-def _protocol_steps(config: ProtocolConfig):
-    """What the protocol builds once, and its per-point finish.
-
-    Builds what does not depend on ``t`` (the kernel's field step, the
-    initial atom, the timescales, the field phase) and returns the field
-    step, the atom and the step ``(t, rho_pre) -> ProtocolResult`` that
-    pulses and reads out the state the kernel evolved for time ``t``.
-    :func:`run_protocol` evolves one time and :func:`sweep_interaction_time`
-    its whole grid in one :meth:`~cavitytherm.dynamics.FieldStep.evolve_grid`
-    call before it finishes each point.
-    """
-    prep, physical = config.prep, config.physical
-    field_step = FieldStep(prep, physical)
-    atom = config.initial_atom()
-    scales = config.timescales()
-    collapse_complete, half_revival = scales.collapse_complete, scales.half_revival
-    phi = prep.phi
-    explicit = config.pulse_mode == "explicit_unitary"
-
-    def finish(t: float, rho_pre: AtomDensity) -> ProtocolResult:
-        if explicit:
-            rho_post = pi_half_pulse(rho_pre, cooling_axis_azimuth(t, phi, physical))
-        else:
-            rho_post = AtomDensity(rho11=rho_pre.eigenvalues()[0], rho01=0j)
-        residual = abs(rho_post.rho01)
-
-        pe = rho_post.eigenvalues()[0]
-        if pe < 0.0:
-            if pe < -_EIGENVALUE_SLACK:
-                raise ValueError(f"post-pulse state has negative eigenvalue {pe}")
-            pe = 0.0
-        validity = ValidityFlags(
-            collapse_completed=t >= collapse_complete,
-            within_half_revival=t <= half_revival,
-            pulse_residual_ok=residual <= PULSE_RESIDUAL_TOLERANCE,
-        )
-        return ProtocolResult(
-            rho_pre_pulse=rho_pre,
-            rho_post_pulse=rho_post,
-            reading=temperature_from_pe(pe, physical.delta_e),
-            validity=validity,
-            pulse_residual=residual,
-        )
-
-    return field_step, atom, finish
-
-
-def run_protocol(config: ProtocolConfig) -> ProtocolResult:
-    """Execute the pipeline: interact, trace, pulse, read out.
-
-    The readout converts the smallest eigenvalue of the post-pulse state to
-    a temperature; validity flags report whether the interaction time falls
-    inside ``[3 tau_collapse, tau_revival / 2]`` and (in explicit mode)
-    whether the phase-locked pulse left the state diagonal to within
-    ``PULSE_RESIDUAL_TOLERANCE``.
-    """
-    field_step, atom, finish = _protocol_steps(config)
-    t = config.interaction_time
-    return finish(t, field_step.evolve(atom, t))
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One grid point of an interaction-time sweep.
@@ -230,25 +172,83 @@ class SweepPoint:
         return self.error is None
 
 
-def _unset_point(t: float, setup_error: str) -> SweepPoint:
-    """A point of a sweep that could not be set up: its time's error or the setup's."""
-    try:
-        check_interaction_time(t)
-    except ValueError as exc:
-        return SweepPoint(t=t, result=None, error=str(exc))
-    return SweepPoint(t=t, result=None, error=setup_error)
+def _run_grid(config: ProtocolConfig,
+              times: Sequence[float]) -> list[ProtocolResult | Exception]:
+    """The protocol at each of ``times``: its result or the exception that stopped it.
+
+    The kernel's field step, the initial atom, the window edges, the field
+    phase and the pulse mode are read once, and the kernel evolves every
+    time in one :meth:`~cavitytherm.dynamics.FieldStep.evolve_grid` call;
+    each point is then pulsed and read out on its own, so a failed point
+    leaves the others as they are.
+    """
+    prep, physical = config.prep, config.physical
+    states = FieldStep(prep, physical).evolve_grid(config.initial_atom(), times)
+    scales = config.timescales()
+    collapse_complete, half_revival = scales.collapse_complete, scales.half_revival
+    phi, delta_e = prep.phi, physical.delta_e
+    explicit = config.pulse_mode == "explicit_unitary"
+    outcomes: list[ProtocolResult | Exception] = []
+    for t, rho_pre in zip(times, states):
+        if isinstance(rho_pre, ValueError):
+            outcomes.append(rho_pre)
+            continue
+        try:
+            if explicit:
+                rho_post = pi_half_pulse(rho_pre, cooling_axis_azimuth(t, phi, physical))
+            else:
+                rho_post = AtomDensity(rho11=rho_pre.eigenvalues()[0], rho01=0j)
+            residual = abs(rho_post.rho01)
+            pe = rho_post.eigenvalues()[0]
+            if pe < 0.0:
+                if pe < -_EIGENVALUE_SLACK:
+                    raise ValueError(f"post-pulse state has negative eigenvalue {pe}")
+                pe = 0.0
+            outcomes.append(ProtocolResult(
+                rho_pre_pulse=rho_pre,
+                rho_post_pulse=rho_post,
+                reading=temperature_from_pe(pe, delta_e),
+                validity=ValidityFlags(
+                    collapse_completed=t >= collapse_complete,
+                    within_half_revival=t <= half_revival,
+                    pulse_residual_ok=residual <= PULSE_RESIDUAL_TOLERANCE,
+                ),
+                pulse_residual=residual,
+            ))
+        except Exception as exc:  # noqa: BLE001 - per-point errors are data
+            outcomes.append(exc)
+    return outcomes
+
+
+def run_protocol(config: ProtocolConfig) -> ProtocolResult:
+    """Execute the pipeline: interact, trace, pulse, read out.
+
+    The readout converts the smallest eigenvalue of the post-pulse state to
+    a temperature; validity flags report whether the interaction time falls
+    inside ``[3 tau_collapse, tau_revival / 2]`` and (in explicit mode)
+    whether the phase-locked pulse left the state diagonal to within
+    ``PULSE_RESIDUAL_TOLERANCE``. A run is the one-point case of
+    :func:`sweep_interaction_time`: it raises the exception that the sweep
+    would record at its one point.
+    """
+    (outcome,) = _run_grid(config, (config.interaction_time,))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def sweep_interaction_time(config: ProtocolConfig,
                            t_grid: Sequence[float]) -> list[SweepPoint]:
     """Run the protocol over an ascending grid of interaction times.
 
-    The field step, initial atom and timescales are built once for the whole
-    grid, and the kernel evaluates every time in one grid call before the
-    pulse and readout run point by point. A point whose time or state is
-    rejected (a negative, infinite or NaN time, or one whose Rabi angle
-    overflows) records the error and the sweep goes on; NaN points are left
-    out of the ascending check, so they cannot hide a descent around them.
+    The field step, initial atom and window edges are built once for the
+    whole grid, and the kernel evaluates every time in one grid call before
+    the pulse and readout run point by point. A point whose time, state or
+    readout is rejected (a negative, infinite or NaN time, one whose Rabi
+    angle overflows, a failed pulse or temperature) records the error and
+    the sweep goes on; NaN points are left out of the ascending check, so
+    they cannot hide a descent around them. A failure of the field itself
+    raises for the whole grid.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
@@ -256,21 +256,9 @@ def sweep_interaction_time(config: ProtocolConfig,
     ordered = [t for t in t_grid if not math.isnan(t)]
     if any(b < a for a, b in zip(ordered, ordered[1:])):
         raise ValueError("t_grid must be ascending")
-    try:
-        field_step, atom, finish = _protocol_steps(config)
-        states = field_step.evolve_grid(atom, t_grid)
-    except Exception as exc:  # noqa: BLE001 - the same failure at every point
-        return [_unset_point(t, str(exc)) for t in t_grid]
-    points: list[SweepPoint] = []
-    for t, rho_pre in zip(t_grid, states):
-        if isinstance(rho_pre, ValueError):
-            points.append(SweepPoint(t=t, result=None, error=str(rho_pre)))
-            continue
-        try:
-            points.append(SweepPoint(t=t, result=finish(t, rho_pre)))
-        except Exception as exc:  # noqa: BLE001 - per-point errors are data
-            points.append(SweepPoint(t=t, result=None, error=str(exc)))
-    return points
+    return [SweepPoint(t=t, result=None, error=str(outcome))
+            if isinstance(outcome, Exception) else SweepPoint(t=t, result=outcome)
+            for t, outcome in zip(t_grid, _run_grid(config, t_grid))]
 
 
 def initial_state_independence(config: ProtocolConfig, t: float,

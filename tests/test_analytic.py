@@ -278,9 +278,10 @@ class TestLambertW:
         with pytest.raises(ValueError):
             analytic.lambert_w0(-0.5)
 
-    def test_non_convergence_is_a_hard_failure(self):
+    def test_non_convergence_is_a_hard_failure(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_LAMBERT_MAX_ITER", 1)
         with pytest.raises(ArithmeticError):
-            analytic.lambert_w0(14400.0, max_iter=1)
+            analytic.lambert_w0(14400.0)
 
 
 class TestCollapseConditionTime:

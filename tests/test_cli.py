@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -404,6 +405,15 @@ class TestSweep:
 
 
 class TestValidate:
+    @pytest.fixture
+    def fast_battery(self, monkeypatch):
+        # The fast battery keeps the in-process tests quick; the full
+        # battery's CSV report is covered by the validate_run fixture.
+        # `validate` imports the battery when it runs, so the module's
+        # binding is the one to patch.
+        monkeypatch.setattr(validation, "run_all_checks",
+                            functools.partial(validation.run_all_checks, include_slow=False))
+
     def test_exit_code_tracks_check_outcomes(self, validate_run):
         proc, rows = validate_run
         all_passed = all(r["passed"] == "true" for r in rows)
@@ -436,11 +446,7 @@ class TestValidate:
         assert json.loads(cli._render_json(["ok"], [{"ok": np.bool_(True)}]))["rows"] == [
             {"ok": True}]
 
-    def test_json_report_has_boolean_verdicts(self, capsys, tmp_path, monkeypatch):
-        # The fast battery keeps this in-process test quick; the full
-        # battery's CSV report is covered by the validate_run fixture.
-        monkeypatch.setattr(cli, "run_all_checks",
-                            lambda: validation.run_all_checks(include_slow=False))
+    def test_json_report_has_boolean_verdicts(self, capsys, tmp_path, fast_battery):
         out_path = tmp_path / "report.json"
         code, _, _ = run_cli(capsys, "validate", "--format", "json",
                              "--out", str(out_path))
@@ -449,17 +455,13 @@ class TestValidate:
         assert code == (0 if all(r["passed"] for r in rows) else 1)
 
 
-    def test_json_report_to_stdout_replaces_text(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_all_checks",
-                            lambda: validation.run_all_checks(include_slow=False))
+    def test_json_report_to_stdout_replaces_text(self, capsys, fast_battery):
         code, out, _ = run_cli(capsys, "validate", "--format", "json")
         rows = json.loads(out)["rows"]
         assert rows and all(type(r["passed"]) is bool for r in rows)
         assert code == (0 if all(r["passed"] for r in rows) else 1)
 
-    def test_unwritable_out_is_config_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "run_all_checks",
-                            lambda: validation.run_all_checks(include_slow=False))
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, fast_battery):
         target = tmp_path / "missing" / "report.csv"
         code, _, err = run_cli(capsys, "validate", "--out", str(target))
         assert code == 2
@@ -469,10 +471,11 @@ class TestValidate:
 
 def test_cli_import_loads_no_oracle_modules():
     # The dense-matrix oracle is imported inside its check and the Poisson
-    # tail is summed in-package, so a cold CLI start loads no scipy at all.
+    # tail is summed in-package, so a cold CLI start loads no scipy at all;
+    # the validation battery itself loads only when `validate` runs.
     code = ("import sys, cavitytherm.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m in ('scipy', 'cavitytherm.validation') or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"

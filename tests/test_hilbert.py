@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 
@@ -318,6 +319,13 @@ class TestCoherentPrep:
         assert prep.phi == pytest.approx(0.25)
         assert prep.n_max == hilbert.default_cutoff(36.0)
         assert prep.tail_mass() <= 1e-12
+
+    def test_phase_is_one_rounding_of_arg_alpha(self):
+        # The CLI's alpha at phi = 3.8116, where np.angle and cmath.phase
+        # differ in the last bit: the pulse axis and the kernel's carrier
+        # must read the same phase.
+        prep = hilbert.CoherentPrep(6.0 * complex(math.cos(3.8116), math.sin(3.8116)))
+        assert prep.phi == cmath.phase(prep.alpha) == dynamics.FieldStep(prep).phase
 
     def test_insufficient_cutoff_rejected(self):
         with pytest.raises(hilbert.TruncationError):

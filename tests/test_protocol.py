@@ -284,13 +284,24 @@ class TestSweep:
         assert points[1].result is None
 
     def test_setup_failure_is_recorded_at_every_point(self):
-        # A vacuum field has no revival timescale; every point says so, and
-        # a rejected time keeps its own message.
-        config = make_config(0.0, prep=CoherentPrep(0.0))
-        points = protocol.sweep_interaction_time(config, [-1.0, 0.0, 2.0])
-        assert [p.ok for p in points] == [False, False, False]
-        assert "interaction_time" in points[0].error
-        assert points[1].error == points[2].error == "n_bar must be positive, got 0.0"
+        # A vacuum field has no revival timescale, so no run or sweep can be
+        # set up for it: the config rejects it before any point runs.
+        with pytest.raises(ValueError, match=r"^n_bar must be positive, got 0\.0$"):
+            make_config(0.0, prep=CoherentPrep(0.0))
+
+    @pytest.mark.parametrize("error", [ArithmeticError, ValueError])
+    def test_readout_failure_is_the_points_own(self, monkeypatch, error):
+        def failing(pe, delta_e=1.0):
+            raise error(f"no temperature for pe={pe}")
+
+        monkeypatch.setattr(protocol, "temperature_from_pe", failing)
+        with pytest.raises(error, match="^no temperature for pe=") as raised:
+            protocol.run_protocol(make_config(9.0))
+        assert type(raised.value) is error
+        points = protocol.sweep_interaction_time(make_config(0.0), [0.0, 9.0])
+        assert [p.result for p in points] == [None, None]
+        assert points[0].error == "no temperature for pe=0.2689414213699951"
+        assert points[1].error == str(raised.value)
 
     @pytest.mark.parametrize("pulse_mode", protocol.PULSE_MODES)
     @pytest.mark.parametrize("initial", [dict(initial_beta=0.7),
