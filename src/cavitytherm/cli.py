@@ -32,7 +32,10 @@ class ConfigError(ValueError):
     """Bad configuration file or flag combination (exit code 2)."""
 
 
-_INITIAL_LEVELS = ("e", "g", "both")
+# Each --initial-level of fig-rho01: its diagonal atoms (excited population
+# 1 or 0), each with the suffix of its coherence columns.
+_INITIAL_LEVELS = {"e": ((1.0, ""),), "g": ((0.0, ""),),
+                   "both": ((1.0, "_e"), (0.0, "_g"))}
 _FORMATS = ("csv", "json")
 
 # Every setting, in ``--help`` order: the type a config file or flag value
@@ -50,7 +53,7 @@ _SETTINGS: dict[str, tuple[type, dict | None]] = {
     "initial_beta": (float, None),
     "cutoff": (int, {"help": "Fock cutoff override"}),
     "grid_points": (int, {"help": "grid size for sweep/figure subcommands"}),
-    "initial_level": (str, {"choices": _INITIAL_LEVELS,
+    "initial_level": (str, {"choices": tuple(_INITIAL_LEVELS),
                             "help": "initial atom level for fig-rho01 (default e)"}),
     "pulse_mode": (str, {"choices": PULSE_MODES, "help": "how the half pulse is realized"}),
 }
@@ -127,7 +130,7 @@ class RunSpec:
             raise ConfigError(f"grid_points must be >= 1, got {self.grid_points}")
         if self.initial_level not in _INITIAL_LEVELS:
             raise ConfigError(
-                f"initial_level must be one of {_INITIAL_LEVELS}, got "
+                f"initial_level must be one of {tuple(_INITIAL_LEVELS)}, got "
                 f"{self.initial_level!r}"
             )
         if self.pulse_mode not in PULSE_MODES:
@@ -245,9 +248,7 @@ def cmd_run(spec: RunSpec) -> int:
 def cmd_fig_rho01(spec: RunSpec) -> int:
     points = spec.grid_points if spec.grid_points is not None else 400
     grid = np.linspace(0.0, 0.6 * spec.timescales.tau_revival, points)
-    # Each initial level is a diagonal atom with excited population 1 or 0.
-    levels = {"e": [(1.0, "")], "g": [(0.0, "")],
-              "both": [(1.0, "_e"), (0.0, "_g")]}[spec.initial_level]
+    levels = _INITIAL_LEVELS[spec.initial_level]
     prep = spec.prep()
     field_step = FieldStep(prep, spec.params)
     atoms = [(AtomDensity(pe), suffix) for pe, suffix in levels]

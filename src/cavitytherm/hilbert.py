@@ -305,9 +305,6 @@ class CoherentPrep:
         """``arg(alpha)``, the one rounding the kernel and the pulse axis share."""
         return cmath.phase(self.alpha)
 
-    def field_amplitudes(self) -> np.ndarray:
-        return coherent_amplitudes(self.alpha, self.n_max)
-
     def head_mass(self) -> float:
         return coherent_mass(self.n_bar, 0, self.n_lo - 1)
 
@@ -381,7 +378,8 @@ def coherent_joint_state(level: int, alpha: complex,
                          params: PhysicalParams | None = None,
                          n_max: int | None = None) -> JointPureState:
     """Atom level tensored with a truncation-validated coherent field state."""
-    return product_state(level, CoherentPrep(alpha, n_max).field_amplitudes(), params)
+    prep = CoherentPrep(alpha, n_max)
+    return product_state(level, coherent_amplitudes(prep.alpha, prep.n_max), params)
 
 
 @dataclass(frozen=True)

@@ -227,12 +227,12 @@ def test_structural_invariants():
         assert abs(reading.temperature - 1.0 / beta) <= 1e-10 / beta
 
 
-def test_self_validation_battery_is_clean():
+def test_self_validation_battery_is_clean(src_env):
     """The validate subcommand finishes inside a minute and reports no failures."""
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "cavitytherm", "validate"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=src_env,
     )
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"validation battery took {elapsed:.1f} s (budget 60 s)"

@@ -60,11 +60,11 @@ def parse_csv(text: str) -> tuple[list[str], list[dict]]:
 
 
 @pytest.fixture(scope="module")
-def validate_run(tmp_path_factory):
+def validate_run(tmp_path_factory, src_env):
     out_path = tmp_path_factory.mktemp("validate") / "report.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "cavitytherm", "validate", "--out", str(out_path)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=src_env,
     )
     _, rows = parse_csv(out_path.read_text(encoding="utf-8"))
     return proc, rows
@@ -469,15 +469,15 @@ class TestValidate:
         assert len(err.splitlines()) == 1
 
 
-def test_cli_import_loads_no_oracle_modules():
+def test_cli_import_loads_no_oracle_modules(src_env):
     # The dense-matrix oracle is imported inside its check and the Poisson
     # tail is summed in-package, so a cold CLI start loads no scipy at all;
     # the validation battery itself loads only when `validate` runs.
     code = ("import sys, cavitytherm.cli; "
             "print(sorted(m for m in sys.modules "
             "if m in ('scipy', 'cavitytherm.validation') or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, timeout=60, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True, env=src_env)
     assert proc.stdout.strip() == "[]"
 
 
