@@ -114,8 +114,7 @@ def rho01_analytic(t, n_bar: float, params: PhysicalParams | None = None,
     ``[3 tau_collapse, tau_revival / 2]``; scalar or array ``t``.
     """
     params = params or PhysicalParams()
-    if not 0 < n_bar < math.inf:
-        raise ValueError(f"n_bar must be positive, got {n_bar}")
+    Timescales(n_bar)  # rejects an n_bar that is not positive and finite
     t = np.asarray(t, dtype=float)
     out = (0.5j * np.exp(1j * (params.omega * t - phi))
            * np.sin(params.g * t / (2.0 * math.sqrt(n_bar))))
@@ -223,8 +222,7 @@ def pe_half_revival(n_bar: float, variant: str = "paper") -> float:
     pulse leaves ``pe = 1/2 - |rho01| = (pi^2 + 4) / (64 n_bar)``; its
     relative error against the exact floor shrinks like ``1 / n_bar``.
     """
-    if not 0 < n_bar < math.inf:
-        raise ValueError(f"n_bar must be positive, got {n_bar}")
+    Timescales(n_bar)  # rejects an n_bar that is not positive and finite
     if variant == "paper":
         return math.pi ** 2 / (32.0 * n_bar)
     if variant == "leading_order":

@@ -470,9 +470,9 @@ class TestValidate:
 
 
 def test_cli_import_loads_no_oracle_modules(src_env):
-    # The dense-matrix oracle is imported inside its check and the Poisson
-    # tail is summed in-package, so a cold CLI start loads no scipy at all;
-    # the validation battery itself loads only when `validate` runs.
+    # No module of the package imports scipy, so a cold CLI start loads
+    # none of it; the validation battery itself loads only when `validate`
+    # runs.
     code = ("import sys, cavitytherm.cli; "
             "print(sorted(m for m in sys.modules "
             "if m in ('scipy', 'cavitytherm.validation') or m.startswith('scipy.')))")

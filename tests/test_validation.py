@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from cavitytherm import validation
+import dataclasses
+
+import pytest
+
+from cavitytherm import dynamics, hilbert, validation
 
 
 def test_verdicts_are_python_bools():
@@ -12,3 +16,17 @@ def test_verdicts_are_python_bools():
         assert type(check.passed) is bool, (
             f"{check.name} returned {type(check.passed).__name__}")
 
+
+@pytest.mark.parametrize("fault", ["half_coupling", "backwards_in_time"])
+def test_oracle_check_fails_on_a_faulty_propagator(monkeypatch, fault):
+    true_propagate = dynamics.propagate
+
+    def faulty(state, t):
+        if fault == "backwards_in_time":
+            return true_propagate(state, -t)
+        halved = dataclasses.replace(state.params, g=0.5 * state.params.g)
+        return true_propagate(hilbert.JointPureState(state.amplitudes, halved), t)
+
+    monkeypatch.setattr(dynamics, "propagate", faulty)
+    passed, detail = validation.propagator_vs_ode()
+    assert not passed, detail
