@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .analytic import Timescales, rho01_analytic, t_max, t_min
 from .dynamics import FieldStep
-from .hilbert import AtomDensity, CoherentPrep, PhysicalParams, bloch_vector
+from .hilbert import AtomDensity, CoherentPrep, PhysicalParams, bloch_components
 from .protocol import PULSE_MODES, ProtocolConfig, run_protocol, sweep_interaction_time
 
 
@@ -229,19 +229,26 @@ _RUN_FIELDS = [
 ]
 
 
-def _result_row(t: float, result) -> dict:
-    reading, validity = result.reading, result.validity
+def _run_row(t: float, reading, flags: tuple[bool, bool, bool], residual: float,
+             pre: tuple[float, complex], post: tuple[float, complex]) -> dict:
+    """One ``run`` or ``sweep`` row from its reading, flags, residual and states.
+
+    ``flags`` are in ``ValidityFlags`` order and each state is ``(rho11, rho01)``.
+    """
     return dict(zip(_RUN_FIELDS, (
-        t, reading.pe, reading.temperature, reading.inverted,
-        validity.collapse_completed, validity.within_half_revival,
-        validity.pulse_residual_ok, result.pulse_residual,
-        *bloch_vector(result.rho_pre_pulse), *bloch_vector(result.rho_post_pulse),
+        t, reading.pe, reading.temperature, reading.inverted, *flags, residual,
+        *bloch_components(*pre), *bloch_components(*post),
     ), strict=True))
 
 
 def cmd_run(spec: RunSpec) -> int:
     result = run_protocol(spec.protocol_config())
-    _write_output(spec, _RUN_FIELDS, [_result_row(spec.time, result)])
+    validity, pre, post = result.validity, result.rho_pre_pulse, result.rho_post_pulse
+    flags = (validity.collapse_completed, validity.within_half_revival,
+             validity.pulse_residual_ok)
+    row = _run_row(spec.time, result.reading, flags, result.pulse_residual,
+                   (pre.rho11, pre.rho01), (post.rho11, post.rho01))
+    _write_output(spec, _RUN_FIELDS, [row])
     return 0
 
 
@@ -305,16 +312,14 @@ def cmd_sweep(spec: RunSpec) -> int:
     points = spec.grid_points if spec.grid_points is not None else 200
     grid = np.linspace(0.0, spec.timescales.half_revival, points)
     sweep = sweep_interaction_time(spec.protocol_config(), grid)
-    fieldnames = _RUN_FIELDS + ["error"]
-    rows = []
-    for point in sweep:
-        if point.ok:
-            row = _result_row(point.t, point.result)
-            row["error"] = ""
-        else:
-            row = {"t": point.t, "error": point.error}
-        rows.append(row)
-    _write_output(spec, fieldnames, rows)
+    flags = zip(sweep.collapse_completed, sweep.within_half_revival, sweep.pulse_residual_ok)
+    columns = zip(sweep.t, sweep.reading, flags, sweep.pulse_residual,
+                  zip(sweep.rho11_pre, sweep.rho01_pre),
+                  zip(sweep.rho11_post, sweep.rho01_post), sweep.error)
+    rows = [{**_run_row(t, reading, flag, residual, pre, post), "error": ""}
+            if error is None else {"t": t, "error": error}
+            for t, reading, flag, residual, pre, post, error in columns]
+    _write_output(spec, _RUN_FIELDS + ["error"], rows)
     return 0
 
 

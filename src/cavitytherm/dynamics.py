@@ -15,10 +15,11 @@ Three routes to the same physics, each held to the next:
   runs: the closed photon-number series for a diagonal atom and a coherent
   field, evaluated over real cos/sin vectors. Its field half,
   :class:`FieldStep`, is built once per field; its time half,
-  :meth:`FieldStep.evolve_grid`, evaluates a whole grid of times in chunks
-  of at most ``_CHUNK_ELEMENTS`` angles, and :meth:`FieldStep.evolve` is
-  its one-point case. Each time keeps its own dot products and carrier, so
-  a state has the same bits on any grid.
+  :meth:`FieldStep.grid_columns`, evaluates a whole grid of times in
+  chunks of at most ``_CHUNK_ELEMENTS`` angles into float columns, which
+  :meth:`FieldStep.evolve_grid` and its one-point case
+  :meth:`FieldStep.evolve` turn into states. Each time keeps its own dot
+  products and carrier, so a state has the same bits on any grid.
 * :func:`coherence_from_propagator` is its cross-check: :func:`propagate`
   applies the closed-form block propagator to the joint pure state and
   :func:`~cavitytherm.hilbert.partial_trace_field` traces the field out.
@@ -151,8 +152,9 @@ class FieldStep:
     series indexes them as it would from 0; one field step serves every
     time and initial atom of a sweep or figure.
 
-    The series runs over a grid of times, :meth:`evolve_grid`; :meth:`evolve`
-    is its one-point case. The grid step evaluates the elementwise work
+    The series runs over a grid of times, :meth:`grid_columns`, whose
+    columns :meth:`evolve_grid` and its one-point case :meth:`evolve` turn
+    into states. The grid step evaluates the elementwise work
     (the Rabi angles, their cos and sin, the squares and the envelope
     products) for a chunk of times at once, at most ``_CHUNK_ELEMENTS``
     elements per temporary and never less than one time. Each time keeps
@@ -167,7 +169,7 @@ class FieldStep:
         params = params or PhysicalParams()
         n_lo = prep.n_lo
         w = poisson_weight(np.arange(n_lo, prep.n_max + 1), prep.n_bar)
-        check_norm_deficit(1.0 - float(np.sum(w)))
+        check_norm_deficit(1.0 - float(w.sum()))
         a = np.sqrt(w)
         self.g, self.omega = params.g, params.omega
         self.phase = prep.phi
@@ -176,32 +178,60 @@ class FieldStep:
         self.root_k = np.sqrt(np.arange(n_lo, prep.n_max + 2.0))
 
     def evolve(self, atom: AtomDensity, t: float) -> AtomDensity:
-        """Reduced state of the diagonal ``atom`` after time ``t`` in this field."""
-        (rho,) = self.evolve_grid(atom, (t,))
-        if isinstance(rho, ValueError):
-            raise rho
-        return rho
+        """Reduced state of the diagonal ``atom`` after time ``t`` in this field.
+
+        The one-point case of :meth:`evolve_grid`: it raises the entry's
+        ``ValueError``.
+        """
+        (rho11,), (rho01,), (error,) = self.grid_columns(atom, (t,))
+        if error is not None:
+            raise error
+        return atom if t == 0.0 else AtomDensity(rho11, rho01)
 
     def evolve_grid(self, atom: AtomDensity,
                     times: Sequence[float]) -> list[AtomDensity | ValueError]:
         """Reduced states of the diagonal ``atom`` after each of ``times``.
 
-        Entry ``i`` is the state after ``times[i]``, or the ``ValueError``
-        that rejects that time or its state: a negative, infinite or NaN
-        time, a time whose largest Rabi angle ``g sqrt(n_max + 1) t``
-        overflows, or a state that fails the checks of ``AtomDensity``. The
-        other entries do not depend on the rejected ones. A zero time is the
-        identity and its entry is ``atom`` itself: the series leaves ~1e-16
-        dust in rho11, enough to turn a maximally mixed atom's infinite
-        temperature into a finite ~1e15 reading. A non-diagonal ``atom``
-        raises for the whole grid.
+        Entry ``i`` is the state after ``times[i]`` from the columns of
+        :meth:`grid_columns`, or the ``ValueError`` that rejects that time
+        or its state (the checks of ``AtomDensity``). The other entries do
+        not depend on the rejected ones. A zero time's entry is ``atom``
+        itself.
+        """
+        states: list[AtomDensity | ValueError] = []
+        for t, pop, coherence, error in zip(times, *self.grid_columns(atom, times)):
+            if error is None and t != 0.0:
+                try:
+                    states.append(AtomDensity(pop, coherence))
+                    continue
+                except ValueError as exc:
+                    error = exc
+            states.append(atom if error is None else error)
+        return states
+
+    def grid_columns(self, atom: AtomDensity, times: Sequence[float]
+                     ) -> tuple[list[float], list[complex], list[ValueError | None]]:
+        """``rho11``, ``rho01`` and the rejection of each of ``times`` for the diagonal ``atom``.
+
+        Entry ``i`` of each list is for ``times[i]``: a Python float and
+        complex, and ``None`` or the ``ValueError`` that rejects the time:
+        a negative, infinite or NaN time, or one whose largest Rabi angle
+        ``g sqrt(n_max + 1) t`` overflows. A rejected time is NaN in both
+        columns; the other entries do not depend on it. The states are not
+        checked here: ``AtomDensity`` and
+        :func:`~cavitytherm.hilbert.check_density` hold them to a density
+        matrix where they are used. A zero time is the identity and keeps
+        ``atom``'s own values: the series leaves ~1e-16 dust in rho11,
+        enough to turn a maximally mixed atom's infinite temperature into a
+        finite ~1e15 reading. A non-diagonal ``atom`` raises for the whole
+        grid.
         """
         if atom.rho01 != 0:
             raise ValueError(
                 f"the atom must be diagonal (thermal), got rho01 = {atom.rho01}")
         times = [float(t) for t in times]
         top = float(self.root_k[-1])
-        states: list = []
+        errors: list[ValueError | None] = [None] * len(times)
         run = []  # the positions the series evaluates
         for i, t in enumerate(times):
             try:
@@ -210,19 +240,21 @@ class FieldStep:
                     raise ValueError("interaction_time overflows the Rabi angle "
                                      f"g sqrt(n_max + 1) t, got {t}")
             except ValueError as exc:
-                states.append(exc)
+                errors[i] = exc
                 continue
-            states.append(atom)
             if t != 0.0:
                 run.append(i)
-        rho11, envelope = self._series(atom.rho11, np.array([times[i] for i in run]))
-        for i, pop, env in zip(run, rho11, envelope):
+        pops, envelope = self._series(atom.rho11, np.array([times[i] for i in run]))
+        # The columns are made once the series' temporaries are freed, which
+        # keeps them out of a sweep's peak allocation.
+        rho11, rho01 = [atom.rho11] * len(times), [atom.rho01] * len(times)
+        for i, pop, env in zip(run, pops.tolist(), envelope.tolist()):
             carrier = cmath.exp(1j * (self.omega * times[i] - self.phase))
-            try:
-                states[i] = AtomDensity(pop, 1j * carrier * env)
-            except ValueError as exc:
-                states[i] = exc
-        return states
+            rho11[i], rho01[i] = pop, 1j * carrier * env
+        for i, error in enumerate(errors):
+            if error is not None:
+                rho11[i], rho01[i] = math.nan, complex(math.nan, math.nan)
+        return rho11, rho01, errors
 
     def _series(self, p: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``rho11`` and the real coherence envelope after each of ``times``.

@@ -382,6 +382,27 @@ def coherent_joint_state(level: int, alpha: complex,
     return product_state(level, coherent_amplitudes(prep.alpha, prep.n_max), params)
 
 
+def check_density(rho11: float, rho01: complex) -> None:
+    """Reject ``(rho11, rho01)`` unless it is a density matrix to within rounding.
+
+    The checks of :class:`AtomDensity`, for callers that keep a state as a
+    float and a complex: ``rho11`` in ``[0, 1]`` and a determinant
+    ``(1 - rho11) rho11 - |rho01|^2`` of at least ``-1e-12``. NaN fails both.
+    """
+    if not -_POSITIVITY_SLACK <= rho11 <= 1.0 + _POSITIVITY_SLACK:
+        raise ValueError(f"rho11 must lie in [0, 1], got {rho11}")
+    determinant = (1.0 - rho11) * rho11 - abs(rho01) ** 2
+    if not determinant >= -_POSITIVITY_SLACK:
+        raise ValueError(
+            f"density matrix is not positive semi-definite: det = {determinant:.3e}")
+
+
+def density_eigenvalues(rho11: float, rho01: complex) -> tuple[float, float]:
+    """Eigenvalue pair ``(smallest, largest)`` of the state ``(rho11, rho01)``."""
+    radius = math.hypot(rho11 - 0.5, abs(rho01))
+    return 0.5 - radius, 0.5 + radius
+
+
 @dataclass(frozen=True)
 class AtomDensity:
     """Reduced 2x2 atomic density matrix.
@@ -397,13 +418,19 @@ class AtomDensity:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho11", float(self.rho11))
         object.__setattr__(self, "rho01", complex(self.rho01))
-        if not -_POSITIVITY_SLACK <= self.rho11 <= 1.0 + _POSITIVITY_SLACK:
-            raise ValueError(f"rho11 must lie in [0, 1], got {self.rho11}")
-        if not self.determinant >= -_POSITIVITY_SLACK:  # NaN fails too
-            raise ValueError(
-                f"density matrix is not positive semi-definite: "
-                f"det = {self.determinant:.3e}"
-            )
+        check_density(self.rho11, self.rho01)
+
+    @classmethod
+    def _checked(cls, rho11: float, rho01: complex) -> AtomDensity:
+        """The state of a float and a complex that :func:`check_density` has passed.
+
+        Skips the conversions and the checks of construction, which the
+        caller has already made on these very values.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "rho11", rho11)
+        object.__setattr__(rho, "rho01", rho01)
+        return rho
 
     @property
     def rho00(self) -> float:
@@ -415,8 +442,7 @@ class AtomDensity:
 
     def eigenvalues(self) -> tuple[float, float]:
         """Eigenvalue pair ``(smallest, largest)``; they sum to 1."""
-        radius = math.hypot(self.rho11 - 0.5, abs(self.rho01))
-        return 0.5 - radius, 0.5 + radius
+        return density_eigenvalues(self.rho11, self.rho01)
 
     def as_matrix(self) -> np.ndarray:
         """2x2 matrix in (g, e) row/column ordering."""
@@ -476,11 +502,14 @@ def thermal_atom(beta: float, delta_e: float = 1.0) -> AtomDensity:
     return AtomDensity(pe, 0j)
 
 
+def bloch_components(rho11: float, rho01: complex) -> tuple[float, float, float]:
+    """Bloch components ``(2 Re rho01, 2 Im rho01, 2 rho11 - 1)`` of ``(rho11, rho01)``."""
+    return 2.0 * rho01.real, 2.0 * rho01.imag, 2.0 * rho11 - 1.0
+
+
 def bloch_vector(rho: AtomDensity) -> np.ndarray:
-    """Bloch components ``(2 Re rho01, 2 Im rho01, 2 rho11 - 1)``."""
-    return np.array(
-        [2.0 * rho.rho01.real, 2.0 * rho.rho01.imag, 2.0 * rho.rho11 - 1.0]
-    )
+    """Bloch components of ``rho`` (:func:`bloch_components`) as an array."""
+    return np.array(bloch_components(rho.rho11, rho.rho01))
 
 
 def atom_density_from_bloch(vec) -> AtomDensity:

@@ -20,8 +20,9 @@ south pole (minimum excited population).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
 
 from .analytic import TemperatureReading, Timescales, temperature_from_pe
 from .dynamics import FieldStep, check_interaction_time
@@ -29,6 +30,8 @@ from .hilbert import (
     AtomDensity,
     CoherentPrep,
     PhysicalParams,
+    check_density,
+    density_eigenvalues,
     thermal_atom,
     trace_distance,
 )
@@ -51,17 +54,24 @@ def pi_half_pulse(rho: AtomDensity, axis_angle: float) -> AtomDensity:
     ``U = exp(-i (pi/4) n.sigma)``. Unitary, so the eigenvalues (and Bloch
     length) are preserved to rounding; an equatorial Bloch vector
     perpendicular to the axis is carried onto a pole, making the result
-    diagonal. In halves of the Bloch components, ``rho01 = (x + i y) / 2``
-    and ``rho11 - 1/2 = z / 2``.
+    diagonal. The arithmetic is :func:`_quarter_turn`'s.
+    """
+    return AtomDensity(*_quarter_turn(rho.rho11, rho.rho01, axis_angle))
+
+
+def _quarter_turn(rho11: float, rho01: complex,
+                  axis_angle: float) -> tuple[float, complex]:
+    """:func:`pi_half_pulse` on the state ``(rho11, rho01)``, unchecked.
+
+    In halves of the Bloch components, ``rho01 = (x + i y) / 2`` and
+    ``rho11 - 1/2 = z / 2``.
     """
     cos_a, sin_a = math.cos(axis_angle), math.sin(axis_angle)
-    half_x, half_y = rho.rho01.real, rho.rho01.imag
-    half_z = rho.rho11 - 0.5
+    half_x, half_y = rho01.real, rho01.imag
+    half_z = rho11 - 0.5
     along = half_x * cos_a + half_y * sin_a
-    return AtomDensity(
-        rho11=0.5 + (half_y * cos_a - half_x * sin_a),
-        rho01=complex(along * cos_a + half_z * sin_a, along * sin_a - half_z * cos_a),
-    )
+    return (0.5 + (half_y * cos_a - half_x * sin_a),
+            complex(along * cos_a + half_z * sin_a, along * sin_a - half_z * cos_a))
 
 
 def cooling_axis_azimuth(t: float, phi: float = 0.0,
@@ -172,52 +182,161 @@ class SweepPoint:
         return self.error is None
 
 
-def _run_grid(config: ProtocolConfig,
-              times: Sequence[float]) -> list[ProtocolResult | Exception]:
-    """The protocol at each of ``times``: its result or the exception that stopped it.
+class Sweep(Sequence[SweepPoint]):
+    """The protocol over a grid of interaction times: float columns first, points on demand.
+
+    One entry per grid time in each column (a list, not to be modified):
+    ``t``; the pre- and post-pulse states ``rho11_pre``, ``rho01_pre``,
+    ``rho11_post`` and ``rho01_post``; the ``reading`` (a
+    ``TemperatureReading``) with its ``pe`` and ``temperature``; the
+    ``pulse_residual``; the validity flags ``collapse_completed``,
+    ``within_half_revival`` and ``pulse_residual_ok``; ``error``, the
+    failure message or ``None``; and ``ok``. A failed point is NaN in the
+    float columns, ``None`` in ``reading`` and ``False`` in the flags.
+    Every number is a Python float, complex or bool.
+
+    As a sequence it holds one :class:`SweepPoint` per time, built from the
+    columns when it is first read and kept; a point whose time is zero
+    holds the initial atom itself as its pre-pulse state. A point assigned
+    by index replaces the built one; the columns keep what was computed.
+    """
+
+    def __init__(self, atom: AtomDensity, t: list[float],
+                 failures: list[Exception | None], rho11_pre, rho01_pre, rho11_post,
+                 rho01_post, reading, pe, temperature, pulse_residual, collapse_completed,
+                 within_half_revival, pulse_residual_ok) -> None:
+        self.t, self.rho11_pre, self.rho01_pre = t, rho11_pre, rho01_pre
+        self.rho11_post, self.rho01_post = rho11_post, rho01_post
+        self.reading, self.pe, self.temperature = reading, pe, temperature
+        self.pulse_residual = pulse_residual
+        self.collapse_completed = collapse_completed
+        self.within_half_revival = within_half_revival
+        self.pulse_residual_ok = pulse_residual_ok
+        self._atom, self._failures = atom, failures
+        self._points: list[SweepPoint | None] = [None] * len(t)
+
+    @cached_property
+    def error(self) -> list[str | None]:
+        return [None if f is None else str(f) for f in self._failures]
+
+    @cached_property
+    def ok(self) -> list[bool]:
+        return [f is None for f in self._failures]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        point = self._points[index]
+        if point is None:
+            point = self._points[index] = self._build(index)
+        return point
+
+    def __setitem__(self, index: int, point: SweepPoint) -> None:
+        # perfbench/test_bench.py plants a shifted point to test its own check.
+        self._points[index] = point
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def checked(self) -> Sweep:
+        """The sweep itself, once no point has failed; else the first failure is raised."""
+        for failure in self._failures:
+            if failure is not None:
+                raise failure
+        return self
+
+    def _build(self, i: int) -> SweepPoint:
+        if self._failures[i] is not None:
+            return SweepPoint(t=self.t[i], result=None, error=self.error[i])
+        return SweepPoint(t=self.t[i], result=self._result(i))
+
+    def _result(self, i: int) -> ProtocolResult:
+        # The float path has held both states to check_density already.
+        return ProtocolResult(
+            rho_pre_pulse=(self._atom if self.t[i] == 0.0
+                           else AtomDensity._checked(self.rho11_pre[i], self.rho01_pre[i])),
+            rho_post_pulse=AtomDensity._checked(self.rho11_post[i], self.rho01_post[i]),
+            reading=self.reading[i],
+            validity=ValidityFlags(self.collapse_completed[i], self.within_half_revival[i],
+                                   self.pulse_residual_ok[i]),
+            pulse_residual=self.pulse_residual[i],
+        )
+
+
+def _run_grid(config: ProtocolConfig, times: list[float]) -> Sweep:
+    """The protocol at each of ``times`` (Python floats), as the columns of a :class:`Sweep`.
 
     The kernel's field step, the initial atom, the window edges, the field
     phase and the pulse mode are read once, and the kernel evolves every
-    time in one :meth:`~cavitytherm.dynamics.FieldStep.evolve_grid` call;
-    each point is then pulsed and read out on its own, so a failed point
-    leaves the others as they are.
+    time into float columns in one
+    :meth:`~cavitytherm.dynamics.FieldStep.grid_columns` call. Each point
+    is then checked, pulsed and read out in scalar ``math`` arithmetic on
+    floats: the pre-pulse state held to
+    :func:`~cavitytherm.hilbert.check_density` as an ``AtomDensity`` would
+    be, the pulse of :func:`pi_half_pulse` or the smaller eigenvalue of the
+    pre-pulse state, the same check on the post-pulse state, its smaller
+    eigenvalue clamped at 0 within ``_EIGENVALUE_SLACK``, and
+    :func:`~cavitytherm.analytic.temperature_from_pe`. A point records
+    the exception that stops it, and the others go on. No per-point object
+    is built but the reading.
     """
     prep, physical = config.prep, config.physical
-    states = FieldStep(prep, physical).evolve_grid(config.initial_atom(), times)
+    atom = config.initial_atom()
+    rho11_pre, rho01_pre, failures = FieldStep(prep, physical).grid_columns(atom, times)
     scales = config.timescales()
     collapse_complete, half_revival = scales.collapse_complete, scales.half_revival
     phi, delta_e = prep.phi, physical.delta_e
     explicit = config.pulse_mode == "explicit_unitary"
-    outcomes: list[ProtocolResult | Exception] = []
-    for t, rho_pre in zip(times, states):
-        if isinstance(rho_pre, ValueError):
-            outcomes.append(rho_pre)
-            continue
-        try:
-            if explicit:
-                rho_post = pi_half_pulse(rho_pre, cooling_axis_azimuth(t, phi, physical))
+    nan, nan_c = math.nan, complex(math.nan, math.nan)
+    unset = (nan, nan_c, None, nan, nan, nan, False, False, False)
+    # Sweep's columns after rho01_pre, in order, appended point by point. No
+    # tuple is built from an iterator here: CPython frees such tuples into
+    # its free lists without taking them from there, and 20-point sweeps
+    # that transposed rows with zip filled them to ~0.4 MB.
+    columns = ([], [], [], [], [], [], [], [], [])
+    (rho11_post, rho01_post, readings, pes, temperatures, residuals, collapsed, within,
+     residual_ok) = columns
+    for i, (t, p, c) in enumerate(zip(times, rho11_pre, rho01_pre)):
+        if failures[i] is None:
+            try:
+                check_density(p, c)
+                if explicit:
+                    p_post, c_post = _quarter_turn(
+                        p, c, cooling_axis_azimuth(t, phi, physical))
+                else:
+                    p_post, c_post = density_eigenvalues(p, c)[0], 0j
+                check_density(p_post, c_post)
+                pe = density_eigenvalues(p_post, c_post)[0]
+                if pe < 0.0:
+                    if pe < -_EIGENVALUE_SLACK:
+                        raise ValueError(f"post-pulse state has negative eigenvalue {pe}")
+                    pe = 0.0
+                reading = temperature_from_pe(pe, delta_e)
+            except Exception as exc:  # noqa: BLE001 - per-point errors are data
+                failures[i] = exc
             else:
-                rho_post = AtomDensity(rho11=rho_pre.eigenvalues()[0], rho01=0j)
-            residual = abs(rho_post.rho01)
-            pe = rho_post.eigenvalues()[0]
-            if pe < 0.0:
-                if pe < -_EIGENVALUE_SLACK:
-                    raise ValueError(f"post-pulse state has negative eigenvalue {pe}")
-                pe = 0.0
-            outcomes.append(ProtocolResult(
-                rho_pre_pulse=rho_pre,
-                rho_post_pulse=rho_post,
-                reading=temperature_from_pe(pe, delta_e),
-                validity=ValidityFlags(
-                    collapse_completed=t >= collapse_complete,
-                    within_half_revival=t <= half_revival,
-                    pulse_residual_ok=residual <= PULSE_RESIDUAL_TOLERANCE,
-                ),
-                pulse_residual=residual,
-            ))
-        except Exception as exc:  # noqa: BLE001 - per-point errors are data
-            outcomes.append(exc)
-    return outcomes
+                residual = abs(c_post)
+                rho11_post.append(p_post)
+                rho01_post.append(c_post)
+                readings.append(reading)
+                pes.append(reading.pe)
+                temperatures.append(reading.temperature)
+                residuals.append(residual)
+                collapsed.append(t >= collapse_complete)
+                within.append(t <= half_revival)
+                residual_ok.append(residual <= PULSE_RESIDUAL_TOLERANCE)
+                continue
+        rho11_pre[i], rho01_pre[i] = nan, nan_c
+        for column, value in zip(columns, unset):
+            column.append(value)
+    return Sweep(atom, times, failures, rho11_pre, rho01_pre, *columns)
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -231,24 +350,24 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     :func:`sweep_interaction_time`: it raises the exception that the sweep
     would record at its one point.
     """
-    (outcome,) = _run_grid(config, (config.interaction_time,))
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _run_grid(config, [float(config.interaction_time)]).checked()._result(0)
 
 
-def sweep_interaction_time(config: ProtocolConfig,
-                           t_grid: Sequence[float]) -> list[SweepPoint]:
+def sweep_interaction_time(config: ProtocolConfig, t_grid: Sequence[float]) -> Sweep:
     """Run the protocol over an ascending grid of interaction times.
 
-    The field step, initial atom and window edges are built once for the
-    whole grid, and the kernel evaluates every time in one grid call before
-    the pulse and readout run point by point. A point whose time, state or
-    readout is rejected (a negative, infinite or NaN time, one whose Rabi
-    angle overflows, a failed pulse or temperature) records the error and
-    the sweep goes on; NaN points are left out of the ascending check, so
-    they cannot hide a descent around them. A failure of the field itself
-    raises for the whole grid.
+    The result is columns first: a :class:`Sweep` whose float columns
+    (``t``, ``pe``, ``temperature``, ``ok``, ``error`` and the states, flags
+    and residuals) are filled by :func:`_run_grid`, and whose
+    :class:`SweepPoint` and ``ProtocolResult`` objects are built from them
+    only when a point is read. The field step, initial atom and window
+    edges are built once for the whole grid, and the kernel evaluates
+    every time in one grid call before the pulse and readout run point by
+    point. A point whose time, state or readout is rejected (a negative,
+    infinite or NaN time, one whose Rabi angle overflows, a failed pulse or
+    temperature) records the error and the sweep goes on; NaN points are
+    left out of the ascending check, so they cannot hide a descent around
+    them. A failure of the field itself raises for the whole grid.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
@@ -256,9 +375,7 @@ def sweep_interaction_time(config: ProtocolConfig,
     ordered = [t for t in t_grid if not math.isnan(t)]
     if any(b < a for a, b in zip(ordered, ordered[1:])):
         raise ValueError("t_grid must be ascending")
-    return [SweepPoint(t=t, result=None, error=str(outcome))
-            if isinstance(outcome, Exception) else SweepPoint(t=t, result=outcome)
-            for t, outcome in zip(t_grid, _run_grid(config, t_grid))]
+    return _run_grid(config, t_grid)
 
 
 def initial_state_independence(config: ProtocolConfig, t: float,

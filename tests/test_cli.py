@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitytherm import cli, dynamics, hilbert, validation
+from cavitytherm import cli, dynamics, hilbert, protocol, validation
 from cavitytherm.analytic import Timescales
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -402,6 +402,39 @@ class TestSweep:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 5
+
+    def test_sweep_builds_no_protocol_result(self, capsys, monkeypatch):
+        built = []
+        for cls in (protocol.ProtocolResult, protocol.SweepPoint):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        code, out, _ = run_cli(capsys, "sweep", "--grid-points", "30")
+        assert code == 0 and len(parse_csv(out)[1]) == 30
+        assert built == []
+
+    @pytest.mark.parametrize("pulse_mode", ["explicit_unitary", "diagonalize"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_rows_are_the_bytes_of_run(self, capsys, pulse_mode, fmt):
+        flags = ["--phi", "3.8116", "--pulse-mode", pulse_mode, "--format", fmt]
+        code, out, _ = run_cli(capsys, "sweep", "--grid-points", "7", *flags)
+        assert code == 0
+        grid = np.linspace(0.0, Timescales(36.0).half_revival, 7)
+        if fmt == "csv":
+            sweep_lines = out.splitlines()
+            assert sweep_lines[1] == ",".join(RUN_FIELDS + ["error"])
+        else:
+            sweep_rows = json.loads(out)["rows"]
+        for i, t in enumerate(grid):
+            code, run_out, _ = run_cli(capsys, "run", "--time", repr(float(t)), *flags)
+            assert code == 0
+            if fmt == "csv":
+                assert sweep_lines[2 + i] == run_out.splitlines()[2] + ","
+            else:
+                (run_row,) = json.loads(run_out)["rows"]
+                assert sweep_rows[i] == {**run_row, "error": ""}
+                assert json.dumps(sweep_rows[i]) == json.dumps({**run_row, "error": ""})
 
 
 class TestValidate:

@@ -452,6 +452,21 @@ class TestGridStep:
                     assert (state.rho11, state.rho01) == pointwise_series(
                         field_step, p_e, float(t))
 
+    def test_columns_are_the_states_of_evolve_grid(self):
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0 * np.exp(0.4j)))
+        atom = hilbert.AtomDensity(0.3)
+        times = [0.0, 1.5, math.nan, -1.0, 9.0, 1e308]
+        rho11, rho01, errors = field_step.grid_columns(atom, times)
+        states = field_step.evolve_grid(atom, times)
+        assert [e is None for e in errors] == [True, True, False, False, True, False]
+        for state, pop, coherence, error in zip(states, rho11, rho01, errors):
+            assert type(pop) is float and type(coherence) is complex
+            if error is None:
+                assert (pop, coherence) == (state.rho11, state.rho01)
+            else:
+                assert isinstance(state, ValueError) and str(state) == str(error)
+                assert math.isnan(pop) and cmath.isnan(coherence)
+
     def test_empty_grid(self):
         field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))
         assert field_step.evolve_grid(hilbert.AtomDensity(0.3), []) == []

@@ -395,6 +395,137 @@ class TestSweep:
         assert abs(result.reading.temperature - ceiling) / ceiling <= 0.10
 
 
+def same_bits(a: complex, b: complex) -> bool:
+    """Equal, with the sign of zero of each part checked too."""
+    a, b = complex(a), complex(b)
+    return a == b and all(math.copysign(1.0, x) == math.copysign(1.0, y)
+                          for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+# Zero, negative, NaN and overflowing times next to ordinary ones.
+EDGE_GRID = [-1.0, 0.0, 0.0, 0.5, 3.0, math.nan, 9.0, 14.0, 20.0, 37.0, 1e308]
+
+
+class TestSweepColumns:
+    """The sweep's float columns against the points built from them, bit for bit."""
+
+    @pytest.fixture(params=[(mode, initial) for mode in protocol.PULSE_MODES
+                            for initial in ("thermal", "initial_pe")])
+    def config(self, request):
+        mode, initial = request.param
+        atom = dict(initial_beta=0.7) if initial == "thermal" else dict(
+            initial_beta=None, initial_pe=0.85)
+        alpha = 6.0 * complex(math.cos(0.9), math.sin(0.9))
+        return make_config(0.0, pulse_mode=mode, prep=CoherentPrep(alpha), **atom)
+
+    def test_each_column_equals_its_built_field(self, config):
+        sweep = protocol.sweep_interaction_time(config, EDGE_GRID)
+        assert [sweep.ok[i] for i in range(len(sweep))] == [
+            False, True, True, True, True, False, True, True, True, True, False]
+        for i, point in enumerate(sweep):
+            assert type(sweep.t[i]) is float and sweep.t[i] is point.t
+            assert sweep.error[i] == point.error
+            assert sweep.ok[i] is point.ok
+            if not point.ok:
+                assert point.result is None and sweep.reading[i] is None
+                for column in (sweep.pe, sweep.temperature, sweep.pulse_residual,
+                               sweep.rho11_pre, sweep.rho11_post):
+                    assert math.isnan(column[i])
+                assert not (sweep.collapse_completed[i] or sweep.within_half_revival[i]
+                            or sweep.pulse_residual_ok[i])
+                continue
+            result = point.result
+            for column, value in ((sweep.rho11_pre, result.rho_pre_pulse.rho11),
+                                  (sweep.rho11_post, result.rho_post_pulse.rho11),
+                                  (sweep.pe, result.reading.pe),
+                                  (sweep.temperature, result.reading.temperature),
+                                  (sweep.pulse_residual, result.pulse_residual)):
+                assert type(column[i]) is float
+                assert same_bits(column[i], value)
+            for column, value in ((sweep.rho01_pre, result.rho_pre_pulse.rho01),
+                                  (sweep.rho01_post, result.rho_post_pulse.rho01)):
+                assert type(column[i]) is complex
+                assert same_bits(column[i], value)
+            assert sweep.reading[i] is result.reading
+            flags = (sweep.collapse_completed[i], sweep.within_half_revival[i],
+                     sweep.pulse_residual_ok[i])
+            assert all(type(flag) is bool for flag in flags)
+            assert flags == (result.validity.collapse_completed,
+                             result.validity.within_half_revival,
+                             result.validity.pulse_residual_ok)
+
+    def test_float_pulse_and_readout_match_the_object_route(self, config):
+        sweep = protocol.sweep_interaction_time(config, EDGE_GRID)
+        for point in sweep:
+            if not point.ok:
+                continue
+            pre, post = point.result.rho_pre_pulse, point.result.rho_post_pulse
+            if config.pulse_mode == "explicit_unitary":
+                axis = protocol.cooling_axis_azimuth(point.t, config.prep.phi, config.physical)
+                want = protocol.pi_half_pulse(pre, axis)
+            else:
+                want = AtomDensity(pre.eigenvalues()[0], 0j)
+            assert same_bits(post.rho11, want.rho11) and same_bits(post.rho01, want.rho01)
+            assert point.result.reading.pe == max(post.eigenvalues()[0], 0.0)
+            assert point.result.reading == analytic.temperature_from_pe(
+                point.result.reading.pe, config.physical.delta_e)
+
+    def test_run_protocol_at_each_time_equals_the_swept_point(self, config):
+        sweep = protocol.sweep_interaction_time(config, EDGE_GRID)
+        for point in sweep:
+            if not point.ok:
+                with pytest.raises(ValueError) as raised:
+                    protocol.run_protocol(replace(config, interaction_time=point.t))
+                assert str(raised.value) == point.error
+                continue
+            alone = protocol.run_protocol(replace(config, interaction_time=point.t))
+            assert alone == point.result
+            assert repr(alone) == repr(point.result)  # signs of zero included
+
+    def test_building_a_point_twice_gives_equal_objects(self, config):
+        sweep = protocol.sweep_interaction_time(config, EDGE_GRID)
+        again = protocol.sweep_interaction_time(config, EDGE_GRID)
+        for i, point in enumerate(sweep):
+            assert sweep[i] is point  # built once, then kept
+            rebuilt = sweep._build(i)
+            assert rebuilt == point and rebuilt is not point
+            assert repr(rebuilt) == repr(point) == repr(again[i])
+
+    def test_no_point_is_built_until_one_is_read(self, monkeypatch):
+        built = []
+        for cls in (protocol.ProtocolResult, protocol.SweepPoint):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        grid = np.linspace(0.0, Timescales(N_BAR).half_revival, 50)
+        sweep = protocol.sweep_interaction_time(make_config(0.0), grid)
+        assert len(sweep.pe) == 50 and all(sweep.ok)
+        assert built == []
+        sweep[7]
+        assert built == ["ProtocolResult", "SweepPoint"]
+
+    def test_sequence_of_points(self):
+        grid = [0.0, 4.0, 9.0, math.nan]
+        sweep = protocol.sweep_interaction_time(make_config(0.0), grid)
+        points = list(sweep)
+        assert len(sweep) == 4
+        assert sweep == points and points == sweep
+        assert sweep == protocol.sweep_interaction_time(make_config(0.0), grid)
+        assert sweep != points[:3]
+        assert sweep[-1] is points[3] and sweep[1:3] == points[1:3]
+        with pytest.raises(IndexError):
+            sweep[4]
+        assert sweep.index(points[2]) == 2
+
+    def test_checked_raises_the_first_failed_points_own_error(self):
+        sweep = protocol.sweep_interaction_time(make_config(0.0), [-1.0, 0.0, 1e308])
+        with pytest.raises(ValueError, match="^interaction_time must be non-negative"):
+            sweep.checked()
+        clean = protocol.sweep_interaction_time(make_config(0.0), [0.0, 9.0])
+        assert clean.checked() is clean
+
+
 class TestInitialStateIndependence:
     def test_orthogonal_at_zero_time(self):
         dist = protocol.initial_state_independence(make_config(0.0), 0.0, [0.0, 1.0])

@@ -30,3 +30,23 @@ def test_oracle_check_fails_on_a_faulty_propagator(monkeypatch, fault):
     monkeypatch.setattr(dynamics, "propagate", faulty)
     passed, detail = validation.propagator_vs_ode()
     assert not passed, detail
+
+
+def test_coherence_accuracy_detail_is_the_same_on_every_run():
+    first, second = (validation.closed_form_coherence_accuracy() for _ in range(2))
+    assert first == second
+    assert first[0] and first[1].endswith("within the 2 s budget")
+
+
+def test_coherence_accuracy_prints_its_seconds_only_over_budget(monkeypatch):
+    clock = iter([100.0, 102.5])
+
+    class SlowClock:
+        @staticmethod
+        def perf_counter() -> float:
+            return next(clock)
+
+    monkeypatch.setattr(validation, "time", SlowClock)
+    passed, detail = validation.closed_form_coherence_accuracy()
+    assert not passed
+    assert detail.endswith("2.50 s (budget 2 s)")
