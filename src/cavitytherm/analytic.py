@@ -144,7 +144,7 @@ def pe_after_pulse_analytic(t, n_bar: float,
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemperatureReading:
     """A population readout converted to an effective temperature.
 

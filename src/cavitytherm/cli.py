@@ -25,7 +25,7 @@ from . import __version__
 from .analytic import Timescales, rho01_analytic, t_max, t_min
 from .dynamics import FieldStep
 from .hilbert import AtomDensity, CoherentPrep, PhysicalParams, bloch_components
-from .protocol import PULSE_MODES, ProtocolConfig, run_protocol, sweep_interaction_time
+from .protocol import PULSE_MODES, ProtocolConfig, SweepColumns, sweep_columns
 
 
 class ConfigError(ValueError):
@@ -229,26 +229,29 @@ _RUN_FIELDS = [
 ]
 
 
-def _run_row(t: float, reading, flags: tuple[bool, bool, bool], residual: float,
-             pre: tuple[float, complex], post: tuple[float, complex]) -> dict:
-    """One ``run`` or ``sweep`` row from its reading, flags, residual and states.
+def _protocol_rows(columns: SweepColumns) -> list[dict]:
+    """One row per point of ``columns``: the ``run`` fields and an empty ``error``.
 
-    ``flags`` are in ``ValidityFlags`` order and each state is ``(rho11, rho01)``.
+    A failed point's row has only ``t`` and its message.
     """
-    return dict(zip(_RUN_FIELDS, (
-        t, reading.pe, reading.temperature, reading.inverted, *flags, residual,
-        *bloch_components(*pre), *bloch_components(*post),
-    ), strict=True))
+    rows = []
+    for i, (t, reading, error) in enumerate(zip(columns.t, columns.reading, columns.error)):
+        if error is not None:
+            rows.append({"t": t, "error": error})
+            continue
+        rows.append(dict(zip(_RUN_FIELDS + ["error"], (
+            t, reading.pe, reading.temperature, reading.inverted,
+            columns.collapse_completed[i], columns.within_half_revival[i],
+            columns.pulse_residual_ok[i], columns.pulse_residual[i],
+            *bloch_components(columns.rho11_pre[i], columns.rho01_pre[i]),
+            *bloch_components(columns.rho11_post[i], columns.rho01_post[i]), ""), strict=True)))
+    return rows
 
 
 def cmd_run(spec: RunSpec) -> int:
-    result = run_protocol(spec.protocol_config())
-    validity, pre, post = result.validity, result.rho_pre_pulse, result.rho_post_pulse
-    flags = (validity.collapse_completed, validity.within_half_revival,
-             validity.pulse_residual_ok)
-    row = _run_row(spec.time, result.reading, flags, result.pulse_residual,
-                   (pre.rho11, pre.rho01), (post.rho11, post.rho01))
-    _write_output(spec, _RUN_FIELDS, [row])
+    # The one-point sweep raises its point's own exception, as run_protocol does.
+    columns = sweep_columns(spec.protocol_config(), [spec.time]).checked()
+    _write_output(spec, _RUN_FIELDS, _protocol_rows(columns))
     return 0
 
 
@@ -311,14 +314,7 @@ def cmd_fig_tmax(spec: RunSpec) -> int:
 def cmd_sweep(spec: RunSpec) -> int:
     points = spec.grid_points if spec.grid_points is not None else 200
     grid = np.linspace(0.0, spec.timescales.half_revival, points)
-    sweep = sweep_interaction_time(spec.protocol_config(), grid)
-    flags = zip(sweep.collapse_completed, sweep.within_half_revival, sweep.pulse_residual_ok)
-    columns = zip(sweep.t, sweep.reading, flags, sweep.pulse_residual,
-                  zip(sweep.rho11_pre, sweep.rho01_pre),
-                  zip(sweep.rho11_post, sweep.rho01_post), sweep.error)
-    rows = [{**_run_row(t, reading, flag, residual, pre, post), "error": ""}
-            if error is None else {"t": t, "error": error}
-            for t, reading, flag, residual, pre, post, error in columns]
+    rows = _protocol_rows(sweep_columns(spec.protocol_config(), grid))
     _write_output(spec, _RUN_FIELDS + ["error"], rows)
     return 0
 

@@ -169,7 +169,7 @@ class FieldStep:
         params = params or PhysicalParams()
         n_lo = prep.n_lo
         w = poisson_weight(np.arange(n_lo, prep.n_max + 1), prep.n_bar)
-        check_norm_deficit(1.0 - float(w.sum()))
+        check_norm_deficit(1.0 - float(np.sum(w)))
         a = np.sqrt(w)
         self.g, self.omega = params.g, params.omega
         self.phase = prep.phi
@@ -178,15 +178,11 @@ class FieldStep:
         self.root_k = np.sqrt(np.arange(n_lo, prep.n_max + 2.0))
 
     def evolve(self, atom: AtomDensity, t: float) -> AtomDensity:
-        """Reduced state of the diagonal ``atom`` after time ``t`` in this field.
-
-        The one-point case of :meth:`evolve_grid`: it raises the entry's
-        ``ValueError``.
-        """
-        (rho11,), (rho01,), (error,) = self.grid_columns(atom, (t,))
-        if error is not None:
-            raise error
-        return atom if t == 0.0 else AtomDensity(rho11, rho01)
+        """Reduced state of the diagonal ``atom`` after time ``t`` in this field."""
+        (rho,) = self.evolve_grid(atom, (t,))
+        if isinstance(rho, ValueError):
+            raise rho
+        return rho
 
     def evolve_grid(self, atom: AtomDensity,
                     times: Sequence[float]) -> list[AtomDensity | ValueError]:

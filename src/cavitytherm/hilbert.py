@@ -403,7 +403,7 @@ def density_eigenvalues(rho11: float, rho01: complex) -> tuple[float, float]:
     return 0.5 - radius, 0.5 + radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomDensity:
     """Reduced 2x2 atomic density matrix.
 

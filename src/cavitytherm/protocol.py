@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .analytic import TemperatureReading, Timescales, temperature_from_pe
 from .dynamics import FieldStep, check_interaction_time
@@ -87,7 +87,9 @@ def cooling_axis_azimuth(t: float, phi: float = 0.0,
     return params.omega * t - phi + math.pi
 
 
-@dataclass(frozen=True)
+# A sweep keeps one of each per-point class (these, AtomDensity and
+# TemperatureReading) per time; slots keep them a third smaller.
+@dataclass(frozen=True, slots=True)
 class ValidityFlags:
     """Where the interaction time sits relative to the protocol's window."""
 
@@ -146,7 +148,7 @@ class ProtocolConfig:
         return Timescales(self.prep.n_bar, self.physical.g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolResult:
     """Outcome of one protocol run.
 
@@ -165,7 +167,7 @@ class ProtocolResult:
     pulse_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepPoint:
     """One grid point of an interaction-time sweep.
 
@@ -182,96 +184,68 @@ class SweepPoint:
         return self.error is None
 
 
-class Sweep(Sequence[SweepPoint]):
-    """The protocol over a grid of interaction times: float columns first, points on demand.
+class SweepColumns(NamedTuple):
+    """The protocol over a grid of interaction times, one tuple per quantity.
 
-    One entry per grid time in each column (a list, not to be modified):
-    ``t``; the pre- and post-pulse states ``rho11_pre``, ``rho01_pre``,
-    ``rho11_post`` and ``rho01_post``; the ``reading`` (a
-    ``TemperatureReading``) with its ``pe`` and ``temperature``; the
-    ``pulse_residual``; the validity flags ``collapse_completed``,
-    ``within_half_revival`` and ``pulse_residual_ok``; ``error``, the
-    failure message or ``None``; and ``ok``. A failed point is NaN in the
-    float columns, ``None`` in ``reading`` and ``False`` in the flags.
-    Every number is a Python float, complex or bool.
+    Entry ``i`` of each column is for the time ``t[i]``: the pre- and
+    post-pulse states ``rho11_pre``, ``rho01_pre``, ``rho11_post`` and
+    ``rho01_post``; the ``reading`` (a ``TemperatureReading``) with its
+    ``pe`` and ``temperature``; the ``pulse_residual``; the validity flags
+    ``collapse_completed``, ``within_half_revival`` and
+    ``pulse_residual_ok``; and ``error``, the failure message or ``None``.
+    A failed point is NaN in the float columns, ``None`` in ``reading`` and
+    ``False`` in the flags, and ``failures`` holds its exception. Every
+    number is a Python float, complex or bool. ``atom`` is the initial
+    atom, the pre-pulse state of a zero-time point.
 
-    As a sequence it holds one :class:`SweepPoint` per time, built from the
-    columns when it is first read and kept; a point whose time is zero
-    holds the initial atom itself as its pre-pulse state. A point assigned
-    by index replaces the built one; the columns keep what was computed.
+    :func:`sweep_columns` returns these columns and builds no per-point
+    object; :func:`sweep_interaction_time` builds a :class:`SweepPoint`
+    from them for every time.
     """
 
-    def __init__(self, atom: AtomDensity, t: list[float],
-                 failures: list[Exception | None], rho11_pre, rho01_pre, rho11_post,
-                 rho01_post, reading, pe, temperature, pulse_residual, collapse_completed,
-                 within_half_revival, pulse_residual_ok) -> None:
-        self.t, self.rho11_pre, self.rho01_pre = t, rho11_pre, rho01_pre
-        self.rho11_post, self.rho01_post = rho11_post, rho01_post
-        self.reading, self.pe, self.temperature = reading, pe, temperature
-        self.pulse_residual = pulse_residual
-        self.collapse_completed = collapse_completed
-        self.within_half_revival = within_half_revival
-        self.pulse_residual_ok = pulse_residual_ok
-        self._atom, self._failures = atom, failures
-        self._points: list[SweepPoint | None] = [None] * len(t)
+    atom: AtomDensity
+    t: tuple[float, ...]
+    rho11_pre: tuple[float, ...]
+    rho01_pre: tuple[complex, ...]
+    rho11_post: tuple[float, ...]
+    rho01_post: tuple[complex, ...]
+    reading: tuple[TemperatureReading | None, ...]
+    pe: tuple[float, ...]
+    temperature: tuple[float, ...]
+    pulse_residual: tuple[float, ...]
+    collapse_completed: tuple[bool, ...]
+    within_half_revival: tuple[bool, ...]
+    pulse_residual_ok: tuple[bool, ...]
+    error: tuple[str | None, ...]
+    failures: tuple[Exception | None, ...]
 
-    @cached_property
-    def error(self) -> list[str | None]:
-        return [None if f is None else str(f) for f in self._failures]
-
-    @cached_property
-    def ok(self) -> list[bool]:
-        return [f is None for f in self._failures]
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        point = self._points[index]
-        if point is None:
-            point = self._points[index] = self._build(index)
-        return point
-
-    def __setitem__(self, index: int, point: SweepPoint) -> None:
-        # perfbench/test_bench.py plants a shifted point to test its own check.
-        self._points[index] = point
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def checked(self) -> Sweep:
-        """The sweep itself, once no point has failed; else the first failure is raised."""
-        for failure in self._failures:
+    def checked(self) -> SweepColumns:
+        """The columns themselves, once no point has failed; else the first failure is raised."""
+        for failure in self.failures:
             if failure is not None:
                 raise failure
         return self
 
-    def _build(self, i: int) -> SweepPoint:
-        if self._failures[i] is not None:
-            return SweepPoint(t=self.t[i], result=None, error=self.error[i])
-        return SweepPoint(t=self.t[i], result=self._result(i))
-
     def _result(self, i: int) -> ProtocolResult:
-        # The float path has held both states to check_density already.
+        """The ``ProtocolResult`` of point ``i``, which must not have failed.
+
+        The states are built without the checks of ``AtomDensity``: the
+        columns of :func:`_run_grid` hold only states it has held to
+        :func:`~cavitytherm.hilbert.check_density`, and tuples keep them so.
+        """
+        t = self.t[i]
         return ProtocolResult(
-            rho_pre_pulse=(self._atom if self.t[i] == 0.0
-                           else AtomDensity._checked(self.rho11_pre[i], self.rho01_pre[i])),
-            rho_post_pulse=AtomDensity._checked(self.rho11_post[i], self.rho01_post[i]),
-            reading=self.reading[i],
-            validity=ValidityFlags(self.collapse_completed[i], self.within_half_revival[i],
-                                   self.pulse_residual_ok[i]),
-            pulse_residual=self.pulse_residual[i],
+            self.atom if t == 0.0 else AtomDensity._checked(self.rho11_pre[i], self.rho01_pre[i]),
+            AtomDensity._checked(self.rho11_post[i], self.rho01_post[i]),
+            self.reading[i],
+            ValidityFlags(self.collapse_completed[i], self.within_half_revival[i],
+                          self.pulse_residual_ok[i]),
+            self.pulse_residual[i],
         )
 
 
-def _run_grid(config: ProtocolConfig, times: list[float]) -> Sweep:
-    """The protocol at each of ``times`` (Python floats), as the columns of a :class:`Sweep`.
+def _run_grid(config: ProtocolConfig, times: list[float]) -> SweepColumns:
+    """The protocol at each of ``times`` (Python floats), as :class:`SweepColumns`.
 
     The kernel's field step, the initial atom, the window edges, the field
     phase and the pulse mode are read once, and the kernel evolves every
@@ -285,7 +259,8 @@ def _run_grid(config: ProtocolConfig, times: list[float]) -> Sweep:
     eigenvalue clamped at 0 within ``_EIGENVALUE_SLACK``, and
     :func:`~cavitytherm.analytic.temperature_from_pe`. A point records
     the exception that stops it, and the others go on. No per-point object
-    is built but the reading.
+    is built but the reading; a point's objects are built from the
+    columns by :meth:`SweepColumns._result`.
     """
     prep, physical = config.prep, config.physical
     atom = config.initial_atom()
@@ -296,13 +271,14 @@ def _run_grid(config: ProtocolConfig, times: list[float]) -> Sweep:
     explicit = config.pulse_mode == "explicit_unitary"
     nan, nan_c = math.nan, complex(math.nan, math.nan)
     unset = (nan, nan_c, None, nan, nan, nan, False, False, False)
-    # Sweep's columns after rho01_pre, in order, appended point by point. No
+    # The columns after rho01_pre, in order, appended point by point. No
     # tuple is built from an iterator here: CPython frees such tuples into
     # its free lists without taking them from there, and 20-point sweeps
     # that transposed rows with zip filled them to ~0.4 MB.
     columns = ([], [], [], [], [], [], [], [], [])
     (rho11_post, rho01_post, readings, pes, temperatures, residuals, collapsed, within,
      residual_ok) = columns
+    errors: list[str | None] = []
     for i, (t, p, c) in enumerate(zip(times, rho11_pre, rho01_pre)):
         if failures[i] is None:
             try:
@@ -332,11 +308,14 @@ def _run_grid(config: ProtocolConfig, times: list[float]) -> Sweep:
                 collapsed.append(t >= collapse_complete)
                 within.append(t <= half_revival)
                 residual_ok.append(residual <= PULSE_RESIDUAL_TOLERANCE)
+                errors.append(None)
                 continue
         rho11_pre[i], rho01_pre[i] = nan, nan_c
         for column, value in zip(columns, unset):
             column.append(value)
-    return Sweep(atom, times, failures, rho11_pre, rho01_pre, *columns)
+        errors.append(str(failures[i]))
+    return SweepColumns(atom, *[tuple(column) for column in (
+        times, rho11_pre, rho01_pre, *columns, errors, failures)])
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -353,21 +332,18 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     return _run_grid(config, [float(config.interaction_time)]).checked()._result(0)
 
 
-def sweep_interaction_time(config: ProtocolConfig, t_grid: Sequence[float]) -> Sweep:
-    """Run the protocol over an ascending grid of interaction times.
+def sweep_columns(config: ProtocolConfig, t_grid: Sequence[float]) -> SweepColumns:
+    """Run the protocol over an ascending grid of interaction times, as columns.
 
-    The result is columns first: a :class:`Sweep` whose float columns
-    (``t``, ``pe``, ``temperature``, ``ok``, ``error`` and the states, flags
-    and residuals) are filled by :func:`_run_grid`, and whose
-    :class:`SweepPoint` and ``ProtocolResult`` objects are built from them
-    only when a point is read. The field step, initial atom and window
-    edges are built once for the whole grid, and the kernel evaluates
-    every time in one grid call before the pulse and readout run point by
-    point. A point whose time, state or readout is rejected (a negative,
-    infinite or NaN time, one whose Rabi angle overflows, a failed pulse or
-    temperature) records the error and the sweep goes on; NaN points are
-    left out of the ascending check, so they cannot hide a descent around
-    them. A failure of the field itself raises for the whole grid.
+    The field step, initial atom and window edges are built once for the
+    whole grid, and the kernel evaluates every time in one grid call before
+    the pulse and readout run point by point in floats (:func:`_run_grid`);
+    no ``ProtocolResult`` is built. A point whose time, state or readout is
+    rejected (a negative, infinite or NaN time, one whose Rabi angle
+    overflows, a failed pulse or temperature) records the error and the
+    sweep goes on; NaN points are left out of the ascending check, so they
+    cannot hide a descent around them. A failure of the field itself raises
+    for the whole grid.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
@@ -376,6 +352,22 @@ def sweep_interaction_time(config: ProtocolConfig, t_grid: Sequence[float]) -> S
     if any(b < a for a, b in zip(ordered, ordered[1:])):
         raise ValueError("t_grid must be ascending")
     return _run_grid(config, t_grid)
+
+
+def sweep_interaction_time(config: ProtocolConfig,
+                           t_grid: Sequence[float]) -> list[SweepPoint]:
+    """Run the protocol over an ascending grid of interaction times.
+
+    One :class:`SweepPoint` per time, built from the columns of
+    :func:`sweep_columns` (which has the grid checks and the per-point
+    errors): a failed point holds its message and no result, and a point
+    whose time is zero holds the initial atom itself as its pre-pulse
+    state. Callers that need only some quantities read
+    :func:`sweep_columns` and build no point.
+    """
+    columns = sweep_columns(config, t_grid)
+    return [SweepPoint(t, None if error is not None else columns._result(i), error)
+            for i, (t, error) in enumerate(zip(columns.t, columns.error))]
 
 
 def initial_state_independence(config: ProtocolConfig, t: float,

@@ -419,44 +419,46 @@ class TestSweepColumns:
         return make_config(0.0, pulse_mode=mode, prep=CoherentPrep(alpha), **atom)
 
     def test_each_column_equals_its_built_field(self, config):
-        sweep = protocol.sweep_interaction_time(config, EDGE_GRID)
-        assert [sweep.ok[i] for i in range(len(sweep))] == [
+        columns = protocol.sweep_columns(config, EDGE_GRID)
+        points = protocol.sweep_interaction_time(config, EDGE_GRID)
+        assert [error is None for error in columns.error] == [
             False, True, True, True, True, False, True, True, True, True, False]
-        for i, point in enumerate(sweep):
-            assert type(sweep.t[i]) is float and sweep.t[i] is point.t
-            assert sweep.error[i] == point.error
-            assert sweep.ok[i] is point.ok
+        assert len(points) == len(EDGE_GRID)
+        for i, point in enumerate(points):
+            assert type(columns.t[i]) is float and columns.t[i] is point.t
+            assert columns.error[i] == point.error
+            assert (columns.failures[i] is None) is point.ok
             if not point.ok:
-                assert point.result is None and sweep.reading[i] is None
-                for column in (sweep.pe, sweep.temperature, sweep.pulse_residual,
-                               sweep.rho11_pre, sweep.rho11_post):
+                assert point.result is None and columns.reading[i] is None
+                assert str(columns.failures[i]) == point.error
+                for column in (columns.pe, columns.temperature, columns.pulse_residual,
+                               columns.rho11_pre, columns.rho11_post):
                     assert math.isnan(column[i])
-                assert not (sweep.collapse_completed[i] or sweep.within_half_revival[i]
-                            or sweep.pulse_residual_ok[i])
+                assert not (columns.collapse_completed[i] or columns.within_half_revival[i]
+                            or columns.pulse_residual_ok[i])
                 continue
             result = point.result
-            for column, value in ((sweep.rho11_pre, result.rho_pre_pulse.rho11),
-                                  (sweep.rho11_post, result.rho_post_pulse.rho11),
-                                  (sweep.pe, result.reading.pe),
-                                  (sweep.temperature, result.reading.temperature),
-                                  (sweep.pulse_residual, result.pulse_residual)):
+            for column, value in ((columns.rho11_pre, result.rho_pre_pulse.rho11),
+                                  (columns.rho11_post, result.rho_post_pulse.rho11),
+                                  (columns.pe, result.reading.pe),
+                                  (columns.temperature, result.reading.temperature),
+                                  (columns.pulse_residual, result.pulse_residual)):
                 assert type(column[i]) is float
                 assert same_bits(column[i], value)
-            for column, value in ((sweep.rho01_pre, result.rho_pre_pulse.rho01),
-                                  (sweep.rho01_post, result.rho_post_pulse.rho01)):
+            for column, value in ((columns.rho01_pre, result.rho_pre_pulse.rho01),
+                                  (columns.rho01_post, result.rho_post_pulse.rho01)):
                 assert type(column[i]) is complex
                 assert same_bits(column[i], value)
-            assert sweep.reading[i] is result.reading
-            flags = (sweep.collapse_completed[i], sweep.within_half_revival[i],
-                     sweep.pulse_residual_ok[i])
+            assert columns.reading[i] == result.reading
+            flags = (columns.collapse_completed[i], columns.within_half_revival[i],
+                     columns.pulse_residual_ok[i])
             assert all(type(flag) is bool for flag in flags)
             assert flags == (result.validity.collapse_completed,
                              result.validity.within_half_revival,
                              result.validity.pulse_residual_ok)
 
     def test_float_pulse_and_readout_match_the_object_route(self, config):
-        sweep = protocol.sweep_interaction_time(config, EDGE_GRID)
-        for point in sweep:
+        for point in protocol.sweep_interaction_time(config, EDGE_GRID):
             if not point.ok:
                 continue
             pre, post = point.result.rho_pre_pulse, point.result.rho_post_pulse
@@ -471,8 +473,7 @@ class TestSweepColumns:
                 point.result.reading.pe, config.physical.delta_e)
 
     def test_run_protocol_at_each_time_equals_the_swept_point(self, config):
-        sweep = protocol.sweep_interaction_time(config, EDGE_GRID)
-        for point in sweep:
+        for point in protocol.sweep_interaction_time(config, EDGE_GRID):
             if not point.ok:
                 with pytest.raises(ValueError) as raised:
                     protocol.run_protocol(replace(config, interaction_time=point.t))
@@ -483,15 +484,25 @@ class TestSweepColumns:
             assert repr(alone) == repr(point.result)  # signs of zero included
 
     def test_building_a_point_twice_gives_equal_objects(self, config):
-        sweep = protocol.sweep_interaction_time(config, EDGE_GRID)
-        again = protocol.sweep_interaction_time(config, EDGE_GRID)
-        for i, point in enumerate(sweep):
-            assert sweep[i] is point  # built once, then kept
-            rebuilt = sweep._build(i)
-            assert rebuilt == point and rebuilt is not point
-            assert repr(rebuilt) == repr(point) == repr(again[i])
+        columns = protocol.sweep_columns(config, EDGE_GRID)
+        points = protocol.sweep_interaction_time(config, EDGE_GRID)
+        for i, point in enumerate(points):
+            if not point.ok:
+                continue
+            first, second = columns._result(i), columns._result(i)
+            assert first == second == point.result and first is not second
+            assert repr(first) == repr(second) == repr(point.result)
 
-    def test_no_point_is_built_until_one_is_read(self, monkeypatch):
+    def test_columns_are_immutable(self):
+        columns = protocol.sweep_columns(make_config(0.0), [0.0, 9.0])
+        for name in ("t", "rho11_pre", "rho01_pre", "rho11_post", "rho01_post", "reading",
+                     "pe", "temperature", "pulse_residual", "collapse_completed",
+                     "within_half_revival", "pulse_residual_ok", "error", "failures"):
+            assert type(getattr(columns, name)) is tuple
+        with pytest.raises(AttributeError):
+            columns.pe = (0.0, 0.0)
+
+    def test_columns_build_no_point(self, monkeypatch):
         built = []
         for cls in (protocol.ProtocolResult, protocol.SweepPoint):
             def counting(self, *args, _init=cls.__init__, **kwargs):
@@ -499,31 +510,28 @@ class TestSweepColumns:
                 _init(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counting)
         grid = np.linspace(0.0, Timescales(N_BAR).half_revival, 50)
-        sweep = protocol.sweep_interaction_time(make_config(0.0), grid)
-        assert len(sweep.pe) == 50 and all(sweep.ok)
+        columns = protocol.sweep_columns(make_config(0.0), grid)
+        assert len(columns.pe) == 50 and columns.error == (None,) * 50
         assert built == []
-        sweep[7]
-        assert built == ["ProtocolResult", "SweepPoint"]
+        protocol.sweep_interaction_time(make_config(0.0), grid[:2])
+        assert built == ["ProtocolResult", "SweepPoint"] * 2
 
-    def test_sequence_of_points(self):
-        grid = [0.0, 4.0, 9.0, math.nan]
-        sweep = protocol.sweep_interaction_time(make_config(0.0), grid)
-        points = list(sweep)
-        assert len(sweep) == 4
-        assert sweep == points and points == sweep
-        assert sweep == protocol.sweep_interaction_time(make_config(0.0), grid)
-        assert sweep != points[:3]
-        assert sweep[-1] is points[3] and sweep[1:3] == points[1:3]
-        with pytest.raises(IndexError):
-            sweep[4]
-        assert sweep.index(points[2]) == 2
+    def test_sweep_is_a_list_of_points(self):
+        points = protocol.sweep_interaction_time(make_config(0.0), [0.0, 4.0, 9.0, math.nan])
+        assert type(points) is list and len(points) == 4
+        assert all(type(point) is protocol.SweepPoint for point in points)
 
     def test_checked_raises_the_first_failed_points_own_error(self):
-        sweep = protocol.sweep_interaction_time(make_config(0.0), [-1.0, 0.0, 1e308])
+        columns = protocol.sweep_columns(make_config(0.0), [-1.0, 0.0, 1e308])
         with pytest.raises(ValueError, match="^interaction_time must be non-negative"):
-            sweep.checked()
-        clean = protocol.sweep_interaction_time(make_config(0.0), [0.0, 9.0])
+            columns.checked()
+        clean = protocol.sweep_columns(make_config(0.0), [0.0, 9.0])
         assert clean.checked() is clean
+
+    def test_grid_checks_are_the_sweeps(self):
+        for grid, message in (([], "nonempty"), ([2.0, 1.0], "ascending")):
+            with pytest.raises(ValueError, match=message):
+                protocol.sweep_columns(make_config(0.0), grid)
 
 
 class TestInitialStateIndependence:
