@@ -517,6 +517,7 @@ class TestSweepColumns:
         assert built == ["ProtocolResult", "SweepPoint"] * 2
 
     def test_sweep_is_a_list_of_points(self):
+        # Built in the call, so a caller that times the sweep times its points.
         points = protocol.sweep_interaction_time(make_config(0.0), [0.0, 4.0, 9.0, math.nan])
         assert type(points) is list and len(points) == 4
         assert all(type(point) is protocol.SweepPoint for point in points)
