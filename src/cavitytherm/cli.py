@@ -235,9 +235,9 @@ def _protocol_rows(columns: SweepColumns) -> list[dict]:
     A failed point's row has only ``t`` and its message.
     """
     rows = []
-    for i, (t, reading, error) in enumerate(zip(columns.t, columns.reading, columns.error)):
-        if error is not None:
-            rows.append({"t": t, "error": error})
+    for i, (t, reading, failure) in enumerate(zip(columns.t, columns.reading, columns.failures)):
+        if failure is not None:
+            rows.append({"t": t, "error": str(failure)})
             continue
         rows.append(dict(zip(_RUN_FIELDS + ["error"], (
             t, reading.pe, reading.temperature, reading.inverted,

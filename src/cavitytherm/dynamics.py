@@ -15,9 +15,9 @@ Three routes to the same physics, each held to the next:
   runs: the closed photon-number series for a diagonal atom and a coherent
   field, evaluated over real cos/sin vectors. Its field half,
   :class:`FieldStep`, is built once per field; its time half,
-  :meth:`FieldStep.grid_columns`, evaluates a whole grid of times in
-  chunks of at most ``_CHUNK_ELEMENTS`` angles into float columns, which
-  :meth:`FieldStep.evolve_grid` and its one-point case
+  :meth:`FieldStep.grid_columns`, evaluates and checks a whole grid of
+  times in chunks of at most ``_CHUNK_ELEMENTS`` angles into float
+  columns, which :meth:`FieldStep.evolve_grid` and its one-point case
   :meth:`FieldStep.evolve` turn into states. Each time keeps its own dot
   products and carrier, so a state has the same bits on any grid.
 * :func:`coherence_from_propagator` is its cross-check: :func:`propagate`
@@ -47,6 +47,7 @@ from .hilbert import (
     JointPureState,
     PhysicalParams,
     _unit_phases,
+    check_density,
     check_norm_deficit,
     coherent_amplitudes,
     default_cutoff,
@@ -152,15 +153,15 @@ class FieldStep:
     series indexes them as it would from 0; one field step serves every
     time and initial atom of a sweep or figure.
 
-    The series runs over a grid of times, :meth:`grid_columns`, whose
-    columns :meth:`evolve_grid` and its one-point case :meth:`evolve` turn
-    into states. The grid step evaluates the elementwise work
-    (the Rabi angles, their cos and sin, the squares and the envelope
-    products) for a chunk of times at once, at most ``_CHUNK_ELEMENTS``
-    elements per temporary and never less than one time. Each time keeps
-    its own three ``np.dot`` reductions over contiguous rows and its own
-    scalar carrier, so a state is the same bits whatever the grid and the
-    chunk it sits in.
+    The series runs over a grid of times, :meth:`grid_columns`, which
+    checks each state; :meth:`evolve_grid` and its one-point case
+    :meth:`evolve` turn its columns into states. The grid step evaluates
+    the elementwise work (the Rabi angles, their cos and sin, the squares
+    and the envelope products) for a chunk of times at once, at most
+    ``_CHUNK_ELEMENTS`` elements per temporary and never less than one
+    time. Each time keeps its own three ``np.dot`` reductions over
+    contiguous rows and its own scalar carrier, so a state is the same
+    bits whatever the grid and the chunk it sits in.
     """
 
     __slots__ = ("g", "omega", "phase", "weights", "pairs", "root_k")
@@ -190,37 +191,28 @@ class FieldStep:
 
         Entry ``i`` is the state after ``times[i]`` from the columns of
         :meth:`grid_columns`, or the ``ValueError`` that rejects that time
-        or its state (the checks of ``AtomDensity``). The other entries do
-        not depend on the rejected ones. A zero time's entry is ``atom``
-        itself.
+        or its state there; the states are not checked again. The other
+        entries do not depend on the rejected ones. A zero time's entry is
+        ``atom`` itself.
         """
-        states: list[AtomDensity | ValueError] = []
-        for t, pop, coherence, error in zip(times, *self.grid_columns(atom, times)):
-            if error is None and t != 0.0:
-                try:
-                    states.append(AtomDensity(pop, coherence))
-                    continue
-                except ValueError as exc:
-                    error = exc
-            states.append(atom if error is None else error)
-        return states
+        return [error if error is not None else atom if t == 0.0
+                else AtomDensity._checked(pop, coherence)
+                for t, pop, coherence, error in zip(times, *self.grid_columns(atom, times))]
 
     def grid_columns(self, atom: AtomDensity, times: Sequence[float]
                      ) -> tuple[list[float], list[complex], list[ValueError | None]]:
         """``rho11``, ``rho01`` and the rejection of each of ``times`` for the diagonal ``atom``.
 
         Entry ``i`` of each list is for ``times[i]``: a Python float and
-        complex, and ``None`` or the ``ValueError`` that rejects the time:
-        a negative, infinite or NaN time, or one whose largest Rabi angle
-        ``g sqrt(n_max + 1) t`` overflows. A rejected time is NaN in both
-        columns; the other entries do not depend on it. The states are not
-        checked here: ``AtomDensity`` and
-        :func:`~cavitytherm.hilbert.check_density` hold them to a density
-        matrix where they are used. A zero time is the identity and keeps
-        ``atom``'s own values: the series leaves ~1e-16 dust in rho11,
-        enough to turn a maximally mixed atom's infinite temperature into a
-        finite ~1e15 reading. A non-diagonal ``atom`` raises for the whole
-        grid.
+        complex, and ``None`` or the ``ValueError`` that rejects the time
+        or its state: a negative, infinite or NaN time, one whose largest
+        Rabi angle ``g sqrt(n_max + 1) t`` overflows, or one whose state
+        fails :func:`~cavitytherm.hilbert.check_density`. A rejected entry
+        is NaN in both columns; the other entries do not depend on it. A
+        zero time is the identity and keeps ``atom``'s own values: the
+        series leaves ~1e-16 dust in rho11, enough to turn a maximally
+        mixed atom's infinite temperature into a finite ~1e15 reading. A
+        non-diagonal ``atom`` raises for the whole grid.
         """
         if atom.rho01 != 0:
             raise ValueError(
@@ -247,6 +239,10 @@ class FieldStep:
         for i, pop, env in zip(run, pops.tolist(), envelope.tolist()):
             carrier = cmath.exp(1j * (self.omega * times[i] - self.phase))
             rho11[i], rho01[i] = pop, 1j * carrier * env
+            try:
+                check_density(pop, rho01[i])
+            except ValueError as exc:
+                errors[i] = exc
         for i, error in enumerate(errors):
             if error is not None:
                 rho11[i], rho01[i] = math.nan, complex(math.nan, math.nan)

@@ -189,14 +189,14 @@ class SweepColumns(NamedTuple):
 
     Entry ``i`` of each column is for the time ``t[i]``: the pre- and
     post-pulse states ``rho11_pre``, ``rho01_pre``, ``rho11_post`` and
-    ``rho01_post``; the ``reading`` (a ``TemperatureReading``) with its
-    ``pe`` and ``temperature``; the ``pulse_residual``; the validity flags
+    ``rho01_post``; the ``reading`` (a ``TemperatureReading``, which holds
+    ``pe`` and ``temperature``); the ``pulse_residual``; the validity flags
     ``collapse_completed``, ``within_half_revival`` and
-    ``pulse_residual_ok``; and ``error``, the failure message or ``None``.
-    A failed point is NaN in the float columns, ``None`` in ``reading`` and
-    ``False`` in the flags, and ``failures`` holds its exception. Every
-    number is a Python float, complex or bool. ``atom`` is the initial
-    atom, the pre-pulse state of a zero-time point.
+    ``pulse_residual_ok``; and ``failures``, the exception that stopped the
+    point or ``None``. A failed point is NaN in the float columns, ``None``
+    in ``reading`` and ``False`` in the flags. Every number is a Python
+    float, complex or bool. ``atom`` is the initial atom, the pre-pulse
+    state of a zero-time point.
 
     :func:`sweep_columns` returns these columns and builds no per-point
     object; :func:`sweep_interaction_time` builds a :class:`SweepPoint`
@@ -210,13 +210,10 @@ class SweepColumns(NamedTuple):
     rho11_post: tuple[float, ...]
     rho01_post: tuple[complex, ...]
     reading: tuple[TemperatureReading | None, ...]
-    pe: tuple[float, ...]
-    temperature: tuple[float, ...]
     pulse_residual: tuple[float, ...]
     collapse_completed: tuple[bool, ...]
     within_half_revival: tuple[bool, ...]
     pulse_residual_ok: tuple[bool, ...]
-    error: tuple[str | None, ...]
     failures: tuple[Exception | None, ...]
 
     def checked(self) -> SweepColumns:
@@ -230,7 +227,7 @@ class SweepColumns(NamedTuple):
         """The ``ProtocolResult`` of point ``i``, which must not have failed.
 
         The states are built without the checks of ``AtomDensity``: the
-        columns of :func:`_run_grid` hold only states it has held to
+        kernel and :func:`sweep_columns` hold every state of the columns to
         :func:`~cavitytherm.hilbert.check_density`, and tuples keep them so.
         """
         t = self.t[i]
@@ -244,24 +241,46 @@ class SweepColumns(NamedTuple):
         )
 
 
-def _run_grid(config: ProtocolConfig, times: list[float]) -> SweepColumns:
-    """The protocol at each of ``times`` (Python floats), as :class:`SweepColumns`.
+def run_protocol(config: ProtocolConfig) -> ProtocolResult:
+    """Execute the pipeline: interact, trace, pulse, read out.
 
-    The kernel's field step, the initial atom, the window edges, the field
-    phase and the pulse mode are read once, and the kernel evolves every
-    time into float columns in one
-    :meth:`~cavitytherm.dynamics.FieldStep.grid_columns` call. Each point
-    is then checked, pulsed and read out in scalar ``math`` arithmetic on
-    floats: the pre-pulse state held to
-    :func:`~cavitytherm.hilbert.check_density` as an ``AtomDensity`` would
-    be, the pulse of :func:`pi_half_pulse` or the smaller eigenvalue of the
-    pre-pulse state, the same check on the post-pulse state, its smaller
-    eigenvalue clamped at 0 within ``_EIGENVALUE_SLACK``, and
-    :func:`~cavitytherm.analytic.temperature_from_pe`. A point records
-    the exception that stops it, and the others go on. No per-point object
-    is built but the reading; a point's objects are built from the
-    columns by :meth:`SweepColumns._result`.
+    The readout converts the smallest eigenvalue of the post-pulse state to
+    a temperature; validity flags report whether the interaction time falls
+    inside ``[3 tau_collapse, tau_revival / 2]`` and (in explicit mode)
+    whether the phase-locked pulse left the state diagonal to within
+    ``PULSE_RESIDUAL_TOLERANCE``. A run is the one-point case of
+    :func:`sweep_columns`: it raises the exception that the sweep would
+    record at its one point.
     """
+    return sweep_columns(config, [config.interaction_time]).checked()._result(0)
+
+
+def sweep_columns(config: ProtocolConfig, t_grid: Sequence[float]) -> SweepColumns:
+    """Run the protocol over an ascending grid of interaction times, as columns.
+
+    The field step, the initial atom, the window edges, the field phase
+    and the pulse mode are read once, and the kernel evolves and checks
+    every time in one :meth:`~cavitytherm.dynamics.FieldStep.grid_columns`
+    call. Each point is then pulsed and read out in scalar ``math``
+    arithmetic on floats: the pulse of :func:`pi_half_pulse` or the
+    smaller eigenvalue of the pre-pulse state, the post-pulse state held
+    to :func:`~cavitytherm.hilbert.check_density`, its smaller eigenvalue
+    clamped at 0 within ``_EIGENVALUE_SLACK``, and
+    :func:`~cavitytherm.analytic.temperature_from_pe`. No per-point object
+    is built but the reading.
+
+    A point whose time, state or readout is rejected (a negative, infinite
+    or NaN time, one whose Rabi angle overflows, a failed state, pulse or
+    temperature) records the exception and the sweep goes on; NaN points
+    are left out of the ascending check, so they cannot hide a descent
+    around them. A failure of the field itself raises for the whole grid.
+    """
+    times = [float(t) for t in t_grid]
+    if not times:
+        raise ValueError("t_grid must be nonempty")
+    ordered = [t for t in times if not math.isnan(t)]
+    if any(b < a for a, b in zip(ordered, ordered[1:])):
+        raise ValueError("t_grid must be ascending")
     prep, physical = config.prep, config.physical
     atom = config.initial_atom()
     rho11_pre, rho01_pre, failures = FieldStep(prep, physical).grid_columns(atom, times)
@@ -270,19 +289,16 @@ def _run_grid(config: ProtocolConfig, times: list[float]) -> SweepColumns:
     phi, delta_e = prep.phi, physical.delta_e
     explicit = config.pulse_mode == "explicit_unitary"
     nan, nan_c = math.nan, complex(math.nan, math.nan)
-    unset = (nan, nan_c, None, nan, nan, nan, False, False, False)
+    unset = (nan, nan_c, None, nan, False, False, False)
     # The columns after rho01_pre, in order, appended point by point. No
     # tuple is built from an iterator here: CPython frees such tuples into
     # its free lists without taking them from there, and 20-point sweeps
     # that transposed rows with zip filled them to ~0.4 MB.
-    columns = ([], [], [], [], [], [], [], [], [])
-    (rho11_post, rho01_post, readings, pes, temperatures, residuals, collapsed, within,
-     residual_ok) = columns
-    errors: list[str | None] = []
+    columns = ([], [], [], [], [], [], [])
+    rho11_post, rho01_post, readings, residuals, collapsed, within, residual_ok = columns
     for i, (t, p, c) in enumerate(zip(times, rho11_pre, rho01_pre)):
         if failures[i] is None:
             try:
-                check_density(p, c)
                 if explicit:
                     p_post, c_post = _quarter_turn(
                         p, c, cooling_axis_azimuth(t, phi, physical))
@@ -302,56 +318,16 @@ def _run_grid(config: ProtocolConfig, times: list[float]) -> SweepColumns:
                 rho11_post.append(p_post)
                 rho01_post.append(c_post)
                 readings.append(reading)
-                pes.append(reading.pe)
-                temperatures.append(reading.temperature)
                 residuals.append(residual)
                 collapsed.append(t >= collapse_complete)
                 within.append(t <= half_revival)
                 residual_ok.append(residual <= PULSE_RESIDUAL_TOLERANCE)
-                errors.append(None)
                 continue
         rho11_pre[i], rho01_pre[i] = nan, nan_c
         for column, value in zip(columns, unset):
             column.append(value)
-        errors.append(str(failures[i]))
     return SweepColumns(atom, *[tuple(column) for column in (
-        times, rho11_pre, rho01_pre, *columns, errors, failures)])
-
-
-def run_protocol(config: ProtocolConfig) -> ProtocolResult:
-    """Execute the pipeline: interact, trace, pulse, read out.
-
-    The readout converts the smallest eigenvalue of the post-pulse state to
-    a temperature; validity flags report whether the interaction time falls
-    inside ``[3 tau_collapse, tau_revival / 2]`` and (in explicit mode)
-    whether the phase-locked pulse left the state diagonal to within
-    ``PULSE_RESIDUAL_TOLERANCE``. A run is the one-point case of
-    :func:`sweep_interaction_time`: it raises the exception that the sweep
-    would record at its one point.
-    """
-    return _run_grid(config, [float(config.interaction_time)]).checked()._result(0)
-
-
-def sweep_columns(config: ProtocolConfig, t_grid: Sequence[float]) -> SweepColumns:
-    """Run the protocol over an ascending grid of interaction times, as columns.
-
-    The field step, initial atom and window edges are built once for the
-    whole grid, and the kernel evaluates every time in one grid call before
-    the pulse and readout run point by point in floats (:func:`_run_grid`);
-    no ``ProtocolResult`` is built. A point whose time, state or readout is
-    rejected (a negative, infinite or NaN time, one whose Rabi angle
-    overflows, a failed pulse or temperature) records the error and the
-    sweep goes on; NaN points are left out of the ascending check, so they
-    cannot hide a descent around them. A failure of the field itself raises
-    for the whole grid.
-    """
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid:
-        raise ValueError("t_grid must be nonempty")
-    ordered = [t for t in t_grid if not math.isnan(t)]
-    if any(b < a for a, b in zip(ordered, ordered[1:])):
-        raise ValueError("t_grid must be ascending")
-    return _run_grid(config, t_grid)
+        times, rho11_pre, rho01_pre, *columns, failures)])
 
 
 def sweep_interaction_time(config: ProtocolConfig,
@@ -366,8 +342,9 @@ def sweep_interaction_time(config: ProtocolConfig,
     :func:`sweep_columns` and build no point.
     """
     columns = sweep_columns(config, t_grid)
-    return [SweepPoint(t, None if error is not None else columns._result(i), error)
-            for i, (t, error) in enumerate(zip(columns.t, columns.error))]
+    return [SweepPoint(t, columns._result(i)) if failure is None
+            else SweepPoint(t, None, str(failure))
+            for i, (t, failure) in enumerate(zip(columns.t, columns.failures))]
 
 
 def initial_state_independence(config: ProtocolConfig, t: float,

@@ -493,6 +493,45 @@ class TestGridStep:
                     if i != position:
                         assert (state.rho11, state.rho01) == (kept.rho11, kept.rho01)
 
+    def test_a_state_that_fails_check_density_is_rejected_in_the_kernel(self, monkeypatch):
+        prep, atom = hilbert.CoherentPrep(6.0 * np.exp(0.9j)), hilbert.AtomDensity(0.3)
+        times, bad = [0.0, 2.0, 5.0, 9.0], 2
+        clean = dynamics.FieldStep(prep).grid_columns(atom, times)
+        series = dynamics.FieldStep._series
+
+        def planted(self, p, run_times):
+            rho11, envelope = series(self, p, run_times)
+            rho11[run_times == times[bad]] = 1.5
+            return rho11, envelope
+
+        monkeypatch.setattr(dynamics.FieldStep, "_series", planted)
+        message = "rho11 must lie in [0, 1], got 1.5"
+        field_step = dynamics.FieldStep(prep)
+        rho11, rho01, errors = field_step.grid_columns(atom, times)
+        assert type(errors[bad]) is ValueError and str(errors[bad]) == message
+        assert math.isnan(rho11[bad]) and cmath.isnan(rho01[bad])
+        for i in range(len(times)):
+            if i != bad:
+                assert errors[i] is None
+                assert (rho11[i], rho01[i]) == (clean[0][i], clean[1][i])
+
+        state = field_step.evolve_grid(atom, times)[bad]
+        assert type(state) is ValueError and str(state) == message
+        with pytest.raises(ValueError) as raised:
+            field_step.evolve(atom, times[bad])
+        assert str(raised.value) == message
+
+        config = protocol.ProtocolConfig(prep=prep, interaction_time=times[bad],
+                                         initial_beta=1.0)
+        columns = protocol.sweep_columns(config, times)
+        assert [failure is None for failure in columns.failures] == [True, True, False, True]
+        assert str(columns.failures[bad]) == message
+        assert math.isnan(columns.rho11_pre[bad]) and cmath.isnan(columns.rho01_pre[bad])
+        assert columns.reading[bad] is None
+        with pytest.raises(ValueError) as raised:
+            protocol.run_protocol(config)
+        assert str(raised.value) == message
+
     def test_overflowing_time_raises_by_name_without_a_warning(self):
         field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))
         with warnings.catch_warnings():

@@ -421,35 +421,36 @@ class TestSweepColumns:
     def test_each_column_equals_its_built_field(self, config):
         columns = protocol.sweep_columns(config, EDGE_GRID)
         points = protocol.sweep_interaction_time(config, EDGE_GRID)
-        assert [error is None for error in columns.error] == [
+        assert [failure is None for failure in columns.failures] == [
             False, True, True, True, True, False, True, True, True, True, False]
         assert len(points) == len(EDGE_GRID)
         for i, point in enumerate(points):
             assert type(columns.t[i]) is float and columns.t[i] is point.t
-            assert columns.error[i] == point.error
+            assert point.error == (None if columns.failures[i] is None
+                                   else str(columns.failures[i]))
             assert (columns.failures[i] is None) is point.ok
             if not point.ok:
                 assert point.result is None and columns.reading[i] is None
                 assert str(columns.failures[i]) == point.error
-                for column in (columns.pe, columns.temperature, columns.pulse_residual,
-                               columns.rho11_pre, columns.rho11_post):
+                for column in (columns.pulse_residual, columns.rho11_pre, columns.rho11_post):
                     assert math.isnan(column[i])
                 assert not (columns.collapse_completed[i] or columns.within_half_revival[i]
                             or columns.pulse_residual_ok[i])
                 continue
             result = point.result
-            for column, value in ((columns.rho11_pre, result.rho_pre_pulse.rho11),
-                                  (columns.rho11_post, result.rho_post_pulse.rho11),
-                                  (columns.pe, result.reading.pe),
-                                  (columns.temperature, result.reading.temperature),
-                                  (columns.pulse_residual, result.pulse_residual)):
-                assert type(column[i]) is float
-                assert same_bits(column[i], value)
+            reading = columns.reading[i]
+            for entry, value in ((columns.rho11_pre[i], result.rho_pre_pulse.rho11),
+                                 (columns.rho11_post[i], result.rho_post_pulse.rho11),
+                                 (reading.pe, result.reading.pe),
+                                 (reading.temperature, result.reading.temperature),
+                                 (columns.pulse_residual[i], result.pulse_residual)):
+                assert type(entry) is float
+                assert same_bits(entry, value)
             for column, value in ((columns.rho01_pre, result.rho_pre_pulse.rho01),
                                   (columns.rho01_post, result.rho_post_pulse.rho01)):
                 assert type(column[i]) is complex
                 assert same_bits(column[i], value)
-            assert columns.reading[i] == result.reading
+            assert reading == result.reading
             flags = (columns.collapse_completed[i], columns.within_half_revival[i],
                      columns.pulse_residual_ok[i])
             assert all(type(flag) is bool for flag in flags)
@@ -496,11 +497,11 @@ class TestSweepColumns:
     def test_columns_are_immutable(self):
         columns = protocol.sweep_columns(make_config(0.0), [0.0, 9.0])
         for name in ("t", "rho11_pre", "rho01_pre", "rho11_post", "rho01_post", "reading",
-                     "pe", "temperature", "pulse_residual", "collapse_completed",
-                     "within_half_revival", "pulse_residual_ok", "error", "failures"):
+                     "pulse_residual", "collapse_completed", "within_half_revival",
+                     "pulse_residual_ok", "failures"):
             assert type(getattr(columns, name)) is tuple
         with pytest.raises(AttributeError):
-            columns.pe = (0.0, 0.0)
+            columns.reading = (None, None)
 
     def test_columns_build_no_point(self, monkeypatch):
         built = []
@@ -511,7 +512,7 @@ class TestSweepColumns:
             monkeypatch.setattr(cls, "__init__", counting)
         grid = np.linspace(0.0, Timescales(N_BAR).half_revival, 50)
         columns = protocol.sweep_columns(make_config(0.0), grid)
-        assert len(columns.pe) == 50 and columns.error == (None,) * 50
+        assert len(columns.reading) == 50 and columns.failures == (None,) * 50
         assert built == []
         protocol.sweep_interaction_time(make_config(0.0), grid[:2])
         assert built == ["ProtocolResult", "SweepPoint"] * 2
