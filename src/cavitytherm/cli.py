@@ -25,7 +25,8 @@ from . import __version__
 from .analytic import Timescales, rho01_analytic, t_max, t_min
 from .dynamics import FieldStep
 from .hilbert import AtomDensity, CoherentPrep, PhysicalParams, bloch_components
-from .protocol import PULSE_MODES, ProtocolConfig, SweepColumns, sweep_columns
+from .protocol import (PULSE_MODES, ProtocolConfig, SweepPoint, run_protocol,
+                       sweep_interaction_time)
 
 
 class ConfigError(ValueError):
@@ -229,29 +230,26 @@ _RUN_FIELDS = [
 ]
 
 
-def _protocol_rows(columns: SweepColumns) -> list[dict]:
-    """One row per point of ``columns``: the ``run`` fields and an empty ``error``.
+def _protocol_row(point: SweepPoint) -> dict:
+    """The ``run`` fields of ``point`` and an empty ``error``.
 
     A failed point's row has only ``t`` and its message.
     """
-    rows = []
-    for i, (t, reading, failure) in enumerate(zip(columns.t, columns.reading, columns.failures)):
-        if failure is not None:
-            rows.append({"t": t, "error": str(failure)})
-            continue
-        rows.append(dict(zip(_RUN_FIELDS + ["error"], (
-            t, reading.pe, reading.temperature, reading.inverted,
-            columns.collapse_completed[i], columns.within_half_revival[i],
-            columns.pulse_residual_ok[i], columns.pulse_residual[i],
-            *bloch_components(columns.rho11_pre[i], columns.rho01_pre[i]),
-            *bloch_components(columns.rho11_post[i], columns.rho01_post[i]), ""), strict=True)))
-    return rows
+    if not point.ok:
+        return {"t": point.t, "error": point.error}
+    result = point.result
+    reading, flags = result.reading, result.validity
+    pre, post = result.rho_pre_pulse, result.rho_post_pulse
+    return dict(zip(_RUN_FIELDS + ["error"], (
+        point.t, reading.pe, reading.temperature, reading.inverted,
+        flags.collapse_completed, flags.within_half_revival, flags.pulse_residual_ok,
+        result.pulse_residual, *bloch_components(pre.rho11, pre.rho01),
+        *bloch_components(post.rho11, post.rho01), ""), strict=True))
 
 
 def cmd_run(spec: RunSpec) -> int:
-    # The one-point sweep raises its point's own exception, as run_protocol does.
-    columns = sweep_columns(spec.protocol_config(), [spec.time]).checked()
-    _write_output(spec, _RUN_FIELDS, _protocol_rows(columns))
+    point = SweepPoint(spec.time, run_protocol(spec.protocol_config()))
+    _write_output(spec, _RUN_FIELDS, [_protocol_row(point)])
     return 0
 
 
@@ -314,8 +312,8 @@ def cmd_fig_tmax(spec: RunSpec) -> int:
 def cmd_sweep(spec: RunSpec) -> int:
     points = spec.grid_points if spec.grid_points is not None else 200
     grid = np.linspace(0.0, spec.timescales.half_revival, points)
-    rows = _protocol_rows(sweep_columns(spec.protocol_config(), grid))
-    _write_output(spec, _RUN_FIELDS + ["error"], rows)
+    sweep = sweep_interaction_time(spec.protocol_config(), grid)
+    _write_output(spec, _RUN_FIELDS + ["error"], [_protocol_row(point) for point in sweep])
     return 0
 
 
@@ -378,6 +376,7 @@ def _build_spec(args: argparse.Namespace) -> RunSpec:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    spec = None  # still None if building it runs out of memory
     try:
         spec = _build_spec(args)
         return _COMMANDS[spec.command][0](spec)
@@ -388,7 +387,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
-        print(f"numeric failure: out of memory at n_bar={spec.n_bar}: {exc}", file=sys.stderr)
+        at = "" if spec is None else f" at n_bar={spec.n_bar}"
+        print(f"numeric failure: out of memory{at}: {exc}", file=sys.stderr)
         return 3
 
 

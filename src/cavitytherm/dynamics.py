@@ -206,8 +206,9 @@ class FieldStep:
         Entry ``i`` of each list is for ``times[i]``: a Python float and
         complex, and ``None`` or the ``ValueError`` that rejects the time
         or its state: a negative, infinite or NaN time, one whose largest
-        Rabi angle ``g sqrt(n_max + 1) t`` overflows, or one whose state
-        fails :func:`~cavitytherm.hilbert.check_density`. A rejected entry
+        Rabi angle ``g sqrt(n_max + 1) t`` or whose carrier phase
+        ``omega t`` overflows, or one whose state fails
+        :func:`~cavitytherm.hilbert.check_density`. A rejected entry
         is NaN in both columns; the other entries do not depend on it. A
         zero time is the identity and keeps ``atom``'s own values: the
         series leaves ~1e-16 dust in rho11, enough to turn a maximally
@@ -227,6 +228,9 @@ class FieldStep:
                 if not math.isfinite((self.g * t) * top):
                     raise ValueError("interaction_time overflows the Rabi angle "
                                      f"g sqrt(n_max + 1) t, got {t}")
+                if not math.isfinite(self.omega * t):
+                    raise ValueError("interaction_time overflows the carrier phase "
+                                     f"omega t, got {t}")
             except ValueError as exc:
                 errors[i] = exc
                 continue

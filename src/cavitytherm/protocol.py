@@ -5,7 +5,9 @@ let them interact for a chosen time, trace out the field, apply an
 instantaneous lossless half pulse phase-locked to the drive, and read the
 resulting diagonal state out as a temperature. Sweeping the interaction
 time tunes the readout temperature between a floor near the half-revival
-time and a ceiling at the collapse-condition time.
+time and a ceiling at the collapse-condition time. :func:`run_protocol`
+and :func:`sweep_interaction_time` run one loop over a grid of times,
+``_run_grid``; a run is its one-point case.
 
 Orientation convention (fixed project-wide): Bloch components are
 ``(x, y, z) = (2 Re rho01, 2 Im rho01, 2 rho11 - 1)`` with
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .analytic import TemperatureReading, Timescales, temperature_from_pe
 from .dynamics import FieldStep, check_interaction_time
@@ -184,63 +185,6 @@ class SweepPoint:
         return self.error is None
 
 
-class SweepColumns(NamedTuple):
-    """The protocol over a grid of interaction times, one tuple per quantity.
-
-    Entry ``i`` of each column is for the time ``t[i]``: the pre- and
-    post-pulse states ``rho11_pre``, ``rho01_pre``, ``rho11_post`` and
-    ``rho01_post``; the ``reading`` (a ``TemperatureReading``, which holds
-    ``pe`` and ``temperature``); the ``pulse_residual``; the validity flags
-    ``collapse_completed``, ``within_half_revival`` and
-    ``pulse_residual_ok``; and ``failures``, the exception that stopped the
-    point or ``None``. A failed point is NaN in the float columns, ``None``
-    in ``reading`` and ``False`` in the flags. Every number is a Python
-    float, complex or bool. ``atom`` is the initial atom, the pre-pulse
-    state of a zero-time point.
-
-    :func:`sweep_columns` returns these columns and builds no per-point
-    object; :func:`sweep_interaction_time` builds a :class:`SweepPoint`
-    from them for every time.
-    """
-
-    atom: AtomDensity
-    t: tuple[float, ...]
-    rho11_pre: tuple[float, ...]
-    rho01_pre: tuple[complex, ...]
-    rho11_post: tuple[float, ...]
-    rho01_post: tuple[complex, ...]
-    reading: tuple[TemperatureReading | None, ...]
-    pulse_residual: tuple[float, ...]
-    collapse_completed: tuple[bool, ...]
-    within_half_revival: tuple[bool, ...]
-    pulse_residual_ok: tuple[bool, ...]
-    failures: tuple[Exception | None, ...]
-
-    def checked(self) -> SweepColumns:
-        """The columns themselves, once no point has failed; else the first failure is raised."""
-        for failure in self.failures:
-            if failure is not None:
-                raise failure
-        return self
-
-    def _result(self, i: int) -> ProtocolResult:
-        """The ``ProtocolResult`` of point ``i``, which must not have failed.
-
-        The states are built without the checks of ``AtomDensity``: the
-        kernel and :func:`sweep_columns` hold every state of the columns to
-        :func:`~cavitytherm.hilbert.check_density`, and tuples keep them so.
-        """
-        t = self.t[i]
-        return ProtocolResult(
-            self.atom if t == 0.0 else AtomDensity._checked(self.rho11_pre[i], self.rho01_pre[i]),
-            AtomDensity._checked(self.rho11_post[i], self.rho01_post[i]),
-            self.reading[i],
-            ValidityFlags(self.collapse_completed[i], self.within_half_revival[i],
-                          self.pulse_residual_ok[i]),
-            self.pulse_residual[i],
-        )
-
-
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Execute the pipeline: interact, trace, pulse, read out.
 
@@ -249,14 +193,40 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     inside ``[3 tau_collapse, tau_revival / 2]`` and (in explicit mode)
     whether the phase-locked pulse left the state diagonal to within
     ``PULSE_RESIDUAL_TOLERANCE``. A run is the one-point case of
-    :func:`sweep_columns`: it raises the exception that the sweep would
-    record at its one point.
+    :func:`sweep_interaction_time`: it raises the exception that the sweep
+    would record at its one point.
     """
-    return sweep_columns(config, [config.interaction_time]).checked()._result(0)
+    (result,) = _run_grid(config, [float(config.interaction_time)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def sweep_columns(config: ProtocolConfig, t_grid: Sequence[float]) -> SweepColumns:
-    """Run the protocol over an ascending grid of interaction times, as columns.
+def sweep_interaction_time(config: ProtocolConfig,
+                           t_grid: Sequence[float]) -> list[SweepPoint]:
+    """Run the protocol over an ascending grid of interaction times.
+
+    One :class:`SweepPoint` per time, each the run of :func:`run_protocol`
+    at that time: a failed point holds its message and no result, and a
+    point whose time is zero holds the initial atom itself as its
+    pre-pulse state. A point whose time, state or readout is rejected (a
+    negative, infinite or NaN time, one whose Rabi angle or carrier phase
+    overflows, a failed state, pulse or temperature) records the message
+    and the sweep goes on; NaN points are left out of the ascending check,
+    so they cannot hide a descent around them. An empty or descending
+    grid, or a failure of the field itself, raises for the whole grid.
+    """
+    times = [float(t) for t in t_grid]
+    points = _run_grid(config, times)
+    for i, (t, result) in enumerate(zip(times, points)):
+        points[i] = (SweepPoint(t, None, str(result)) if isinstance(result, Exception)
+                     else SweepPoint(t, result))
+    return points
+
+
+def _run_grid(config: ProtocolConfig,
+              times: list[float]) -> list[ProtocolResult | Exception]:
+    """The protocol at each of ``times`` (Python floats), or the exception that stopped it.
 
     The field step, the initial atom, the window edges, the field phase
     and the pulse mode are read once, and the kernel evolves and checks
@@ -266,16 +236,11 @@ def sweep_columns(config: ProtocolConfig, t_grid: Sequence[float]) -> SweepColum
     smaller eigenvalue of the pre-pulse state, the post-pulse state held
     to :func:`~cavitytherm.hilbert.check_density`, its smaller eigenvalue
     clamped at 0 within ``_EIGENVALUE_SLACK``, and
-    :func:`~cavitytherm.analytic.temperature_from_pe`. No per-point object
-    is built but the reading.
-
-    A point whose time, state or readout is rejected (a negative, infinite
-    or NaN time, one whose Rabi angle overflows, a failed state, pulse or
-    temperature) records the exception and the sweep goes on; NaN points
-    are left out of the ascending check, so they cannot hide a descent
-    around them. A failure of the field itself raises for the whole grid.
+    :func:`~cavitytherm.analytic.temperature_from_pe`. A result's states
+    are built from the floats just checked, without a second check. The
+    kernel's list of rejections is filled in place and returned, so a
+    sweep holds one list per grid.
     """
-    times = [float(t) for t in t_grid]
     if not times:
         raise ValueError("t_grid must be nonempty")
     ordered = [t for t in times if not math.isnan(t)]
@@ -283,68 +248,39 @@ def sweep_columns(config: ProtocolConfig, t_grid: Sequence[float]) -> SweepColum
         raise ValueError("t_grid must be ascending")
     prep, physical = config.prep, config.physical
     atom = config.initial_atom()
-    rho11_pre, rho01_pre, failures = FieldStep(prep, physical).grid_columns(atom, times)
+    rho11_pre, rho01_pre, results = FieldStep(prep, physical).grid_columns(atom, times)
     scales = config.timescales()
     collapse_complete, half_revival = scales.collapse_complete, scales.half_revival
     phi, delta_e = prep.phi, physical.delta_e
     explicit = config.pulse_mode == "explicit_unitary"
-    nan, nan_c = math.nan, complex(math.nan, math.nan)
-    unset = (nan, nan_c, None, nan, False, False, False)
-    # The columns after rho01_pre, in order, appended point by point. No
-    # tuple is built from an iterator here: CPython frees such tuples into
-    # its free lists without taking them from there, and 20-point sweeps
-    # that transposed rows with zip filled them to ~0.4 MB.
-    columns = ([], [], [], [], [], [], [])
-    rho11_post, rho01_post, readings, residuals, collapsed, within, residual_ok = columns
     for i, (t, p, c) in enumerate(zip(times, rho11_pre, rho01_pre)):
-        if failures[i] is None:
-            try:
-                if explicit:
-                    p_post, c_post = _quarter_turn(
-                        p, c, cooling_axis_azimuth(t, phi, physical))
-                else:
-                    p_post, c_post = density_eigenvalues(p, c)[0], 0j
-                check_density(p_post, c_post)
-                pe = density_eigenvalues(p_post, c_post)[0]
-                if pe < 0.0:
-                    if pe < -_EIGENVALUE_SLACK:
-                        raise ValueError(f"post-pulse state has negative eigenvalue {pe}")
-                    pe = 0.0
-                reading = temperature_from_pe(pe, delta_e)
-            except Exception as exc:  # noqa: BLE001 - per-point errors are data
-                failures[i] = exc
+        if results[i] is not None:
+            continue
+        try:
+            if explicit:
+                p_post, c_post = _quarter_turn(p, c, cooling_axis_azimuth(t, phi, physical))
             else:
-                residual = abs(c_post)
-                rho11_post.append(p_post)
-                rho01_post.append(c_post)
-                readings.append(reading)
-                residuals.append(residual)
-                collapsed.append(t >= collapse_complete)
-                within.append(t <= half_revival)
-                residual_ok.append(residual <= PULSE_RESIDUAL_TOLERANCE)
-                continue
-        rho11_pre[i], rho01_pre[i] = nan, nan_c
-        for column, value in zip(columns, unset):
-            column.append(value)
-    return SweepColumns(atom, *[tuple(column) for column in (
-        times, rho11_pre, rho01_pre, *columns, failures)])
-
-
-def sweep_interaction_time(config: ProtocolConfig,
-                           t_grid: Sequence[float]) -> list[SweepPoint]:
-    """Run the protocol over an ascending grid of interaction times.
-
-    One :class:`SweepPoint` per time, built from the columns of
-    :func:`sweep_columns` (which has the grid checks and the per-point
-    errors): a failed point holds its message and no result, and a point
-    whose time is zero holds the initial atom itself as its pre-pulse
-    state. Callers that need only some quantities read
-    :func:`sweep_columns` and build no point.
-    """
-    columns = sweep_columns(config, t_grid)
-    return [SweepPoint(t, columns._result(i)) if failure is None
-            else SweepPoint(t, None, str(failure))
-            for i, (t, failure) in enumerate(zip(columns.t, columns.failures))]
+                p_post, c_post = density_eigenvalues(p, c)[0], 0j
+            check_density(p_post, c_post)
+            pe = density_eigenvalues(p_post, c_post)[0]
+            if pe < 0.0:
+                if pe < -_EIGENVALUE_SLACK:
+                    raise ValueError(f"post-pulse state has negative eigenvalue {pe}")
+                pe = 0.0
+            reading = temperature_from_pe(pe, delta_e)
+        except Exception as exc:  # noqa: BLE001 - per-point errors are data
+            results[i] = exc
+            continue
+        residual = abs(c_post)
+        results[i] = ProtocolResult(
+            atom if t == 0.0 else AtomDensity._checked(p, c),
+            AtomDensity._checked(p_post, c_post),
+            reading,
+            ValidityFlags(t >= collapse_complete, t <= half_revival,
+                          residual <= PULSE_RESIDUAL_TOLERANCE),
+            residual,
+        )
+    return results
 
 
 def initial_state_independence(config: ProtocolConfig, t: float,

@@ -273,8 +273,8 @@ def pulse_preserves_eigenvalues() -> tuple[bool, str]:
 def reading_pe_below_half() -> tuple[bool, str]:
     """The protocol reading never reports more than half excitation."""
     grid = np.linspace(0.0, _SCALES.half_revival, 21)
-    worst = max(reading.pe for m in protocol.PULSE_MODES for reading in protocol.sweep_columns(
-        _default_config(pulse_mode=m), grid).checked().reading)
+    worst = max(p.result.reading.pe for m in protocol.PULSE_MODES
+                for p in protocol.sweep_interaction_time(_default_config(pulse_mode=m), grid))
     return worst <= 0.5 + 1e-12, f"max reading.pe = {worst:.15f} (bound 0.5 + 1e-12)"
 
 
@@ -296,10 +296,10 @@ def pipeline_determinism() -> tuple[bool, str]:
 @_check()
 def reading_matches_analytic_floor() -> tuple[bool, str]:
     """Inside the window the reading tracks the closed-form pulse floor."""
-    sweep = protocol.sweep_columns(
+    sweep = protocol.sweep_interaction_time(
         _default_config(), np.linspace(_SCALES.collapse_complete, _SCALES.half_revival, 25))
-    worst = max(abs(reading.pe - analytic.pe_after_pulse_analytic(t, DEFAULT_N_BAR))
-                for t, reading in zip(sweep.t, sweep.checked().reading))
+    worst = max(abs(p.result.reading.pe - analytic.pe_after_pulse_analytic(p.t, DEFAULT_N_BAR))
+                for p in sweep)
     return worst <= 0.02, f"max |reading.pe - closed form| = {worst:.4f} (bound 0.02)"
 
 
@@ -521,12 +521,12 @@ def sweep_monotone_after_collapse() -> tuple[bool, str]:
     """
     root = analytic.collapse_condition_time(DEFAULT_N_BAR).root
     config = _default_config()
-    pes = [reading.pe for reading in protocol.sweep_columns(
-        config, np.linspace(root, _SCALES.half_revival, 60)).checked().reading]
+    pes = [p.result.reading.pe for p in protocol.sweep_interaction_time(
+        config, np.linspace(root, _SCALES.half_revival, 60))]
     worst_rise = max(
         (b - a for a, b in zip(pes, pes[1:])), default=0.0)
-    full_pes = [reading.pe for reading in protocol.sweep_columns(
-        config, np.linspace(0.0, _SCALES.half_revival, 200)).checked().reading]
+    full_pes = [p.result.reading.pe for p in protocol.sweep_interaction_time(
+        config, np.linspace(0.0, _SCALES.half_revival, 200))]
     end_gap = full_pes[-1] - min(full_pes)
     ok = worst_rise <= 1e-3 and end_gap <= 1e-3
     return ok, (

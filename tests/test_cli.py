@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitytherm import cli, dynamics, hilbert, protocol, validation
+from cavitytherm import cli, dynamics, hilbert, validation
 from cavitytherm.analytic import Timescales
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +196,20 @@ class TestRunCommand:
         assert err.strip() == ("numeric failure: interaction_time overflows the Rabi "
                                "angle g sqrt(n_max + 1) t, got 1e+308")
 
+    def test_overflowing_carrier_phase_is_a_numeric_failure_naming_it(self, capsys):
+        message = "interaction_time overflows the carrier phase omega t, got "
+        code, out, err = run_cli(capsys, "run", "--delta-e", "1e308", "--time", "2")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["numeric failure: " + message + "2.0"]
+        code, out, err = run_cli(capsys, "fig-rho01", "--delta-e", "1e308")
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: " + message)
+        code, out, _ = run_cli(capsys, "sweep", "--delta-e", "1e308", "--grid-points", "3")
+        assert code == 0
+        grid = np.linspace(0.0, Timescales(36.0).half_revival, 3)
+        assert [row["error"] for row in parse_csv(out)[1]] == [
+            "", message + repr(float(grid[1])), message + repr(float(grid[2]))]
+
     def test_output_is_byte_stable(self, capsys):
         args = ("run", "--time", "9")
         code_a, out_a, _ = run_cli(capsys, *args)
@@ -285,6 +299,15 @@ class TestRunCommand:
         assert err.splitlines() == [
             "numeric failure: out of memory at n_bar=10000.0: Unable to allocate "
             "7.45 GiB for an array with shape (1000000040,) and data type float64"]
+
+    def test_out_of_memory_before_the_settings_are_built(self, capsys, monkeypatch):
+        def no_memory(path):
+            raise MemoryError("no room for the config file")
+
+        monkeypatch.setattr(cli, "parse_config_file", no_memory)
+        code, out, err = run_cli(capsys, "run", "--config", "any.cfg")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["numeric failure: out of memory: no room for the config file"]
 
 
 class TestFigRho01:
@@ -402,17 +425,6 @@ class TestSweep:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["rows"]) == 5
-
-    def test_sweep_builds_no_protocol_result(self, capsys, monkeypatch):
-        built = []
-        for cls in (protocol.ProtocolResult, protocol.SweepPoint):
-            def counting(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", counting)
-        code, out, _ = run_cli(capsys, "sweep", "--grid-points", "30")
-        assert code == 0 and len(parse_csv(out)[1]) == 30
-        assert built == []
 
     @pytest.mark.parametrize("pulse_mode", ["explicit_unitary", "diagonalize"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -523,14 +523,25 @@ class TestGridStep:
 
         config = protocol.ProtocolConfig(prep=prep, interaction_time=times[bad],
                                          initial_beta=1.0)
-        columns = protocol.sweep_columns(config, times)
-        assert [failure is None for failure in columns.failures] == [True, True, False, True]
-        assert str(columns.failures[bad]) == message
-        assert math.isnan(columns.rho11_pre[bad]) and cmath.isnan(columns.rho01_pre[bad])
-        assert columns.reading[bad] is None
+        points = protocol.sweep_interaction_time(config, times)
+        assert [point.ok for point in points] == [True, True, False, True]
+        assert points[bad].error == message and points[bad].result is None
         with pytest.raises(ValueError) as raised:
             protocol.run_protocol(config)
         assert str(raised.value) == message
+
+    def test_overflowing_carrier_phase_is_rejected_by_name(self):
+        # omega t overflows at t = 2 and 3 when omega = 1e308; the Rabi angle does not.
+        prep, atom = hilbert.CoherentPrep(6.0 * np.exp(0.9j)), hilbert.AtomDensity(0.3)
+        field_step = dynamics.FieldStep(prep, hilbert.PhysicalParams(delta_e=1e308))
+        rho11, rho01, errors = field_step.grid_columns(atom, [0.0, 0.5, 2.0, 1.0, 3.0])
+        assert [str(error) if error else None for error in errors] == [
+            None, None, "interaction_time overflows the carrier phase omega t, got 2.0",
+            None, "interaction_time overflows the carrier phase omega t, got 3.0"]
+        assert math.isnan(rho11[2]) and cmath.isnan(rho01[4])
+        clean = field_step.grid_columns(atom, [0.0, 0.5, 1.0])
+        assert [repr(rho11[i]) for i in (0, 1, 3)] == [repr(x) for x in clean[0]]
+        assert [repr(rho01[i]) for i in (0, 1, 3)] == [repr(x) for x in clean[1]]
 
     def test_overflowing_time_raises_by_name_without_a_warning(self):
         field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))

@@ -407,7 +407,7 @@ EDGE_GRID = [-1.0, 0.0, 0.0, 0.5, 3.0, math.nan, 9.0, 14.0, 20.0, 37.0, 1e308]
 
 
 class TestSweepColumns:
-    """The sweep's float columns against the points built from them, bit for bit."""
+    """Each swept point against the object route and a run at its time, bit for bit."""
 
     @pytest.fixture(params=[(mode, initial) for mode in protocol.PULSE_MODES
                             for initial in ("thermal", "initial_pe")])
@@ -417,46 +417,6 @@ class TestSweepColumns:
             initial_beta=None, initial_pe=0.85)
         alpha = 6.0 * complex(math.cos(0.9), math.sin(0.9))
         return make_config(0.0, pulse_mode=mode, prep=CoherentPrep(alpha), **atom)
-
-    def test_each_column_equals_its_built_field(self, config):
-        columns = protocol.sweep_columns(config, EDGE_GRID)
-        points = protocol.sweep_interaction_time(config, EDGE_GRID)
-        assert [failure is None for failure in columns.failures] == [
-            False, True, True, True, True, False, True, True, True, True, False]
-        assert len(points) == len(EDGE_GRID)
-        for i, point in enumerate(points):
-            assert type(columns.t[i]) is float and columns.t[i] is point.t
-            assert point.error == (None if columns.failures[i] is None
-                                   else str(columns.failures[i]))
-            assert (columns.failures[i] is None) is point.ok
-            if not point.ok:
-                assert point.result is None and columns.reading[i] is None
-                assert str(columns.failures[i]) == point.error
-                for column in (columns.pulse_residual, columns.rho11_pre, columns.rho11_post):
-                    assert math.isnan(column[i])
-                assert not (columns.collapse_completed[i] or columns.within_half_revival[i]
-                            or columns.pulse_residual_ok[i])
-                continue
-            result = point.result
-            reading = columns.reading[i]
-            for entry, value in ((columns.rho11_pre[i], result.rho_pre_pulse.rho11),
-                                 (columns.rho11_post[i], result.rho_post_pulse.rho11),
-                                 (reading.pe, result.reading.pe),
-                                 (reading.temperature, result.reading.temperature),
-                                 (columns.pulse_residual[i], result.pulse_residual)):
-                assert type(entry) is float
-                assert same_bits(entry, value)
-            for column, value in ((columns.rho01_pre, result.rho_pre_pulse.rho01),
-                                  (columns.rho01_post, result.rho_post_pulse.rho01)):
-                assert type(column[i]) is complex
-                assert same_bits(column[i], value)
-            assert reading == result.reading
-            flags = (columns.collapse_completed[i], columns.within_half_revival[i],
-                     columns.pulse_residual_ok[i])
-            assert all(type(flag) is bool for flag in flags)
-            assert flags == (result.validity.collapse_completed,
-                             result.validity.within_half_revival,
-                             result.validity.pulse_residual_ok)
 
     def test_float_pulse_and_readout_match_the_object_route(self, config):
         for point in protocol.sweep_interaction_time(config, EDGE_GRID):
@@ -474,48 +434,23 @@ class TestSweepColumns:
                 point.result.reading.pe, config.physical.delta_e)
 
     def test_run_protocol_at_each_time_equals_the_swept_point(self, config):
-        for point in protocol.sweep_interaction_time(config, EDGE_GRID):
+        points = protocol.sweep_interaction_time(config, EDGE_GRID)
+        assert [point.ok for point in points] == [
+            False, True, True, True, True, False, True, True, True, True, False]
+        for point in points:
+            assert type(point.t) is float
             if not point.ok:
+                assert point.result is None
                 with pytest.raises(ValueError) as raised:
                     protocol.run_protocol(replace(config, interaction_time=point.t))
                 assert str(raised.value) == point.error
                 continue
+            flags = point.result.validity
+            assert {type(flag) for flag in (flags.collapse_completed, flags.within_half_revival,
+                                            flags.pulse_residual_ok)} == {bool}
             alone = protocol.run_protocol(replace(config, interaction_time=point.t))
             assert alone == point.result
             assert repr(alone) == repr(point.result)  # signs of zero included
-
-    def test_building_a_point_twice_gives_equal_objects(self, config):
-        columns = protocol.sweep_columns(config, EDGE_GRID)
-        points = protocol.sweep_interaction_time(config, EDGE_GRID)
-        for i, point in enumerate(points):
-            if not point.ok:
-                continue
-            first, second = columns._result(i), columns._result(i)
-            assert first == second == point.result and first is not second
-            assert repr(first) == repr(second) == repr(point.result)
-
-    def test_columns_are_immutable(self):
-        columns = protocol.sweep_columns(make_config(0.0), [0.0, 9.0])
-        for name in ("t", "rho11_pre", "rho01_pre", "rho11_post", "rho01_post", "reading",
-                     "pulse_residual", "collapse_completed", "within_half_revival",
-                     "pulse_residual_ok", "failures"):
-            assert type(getattr(columns, name)) is tuple
-        with pytest.raises(AttributeError):
-            columns.reading = (None, None)
-
-    def test_columns_build_no_point(self, monkeypatch):
-        built = []
-        for cls in (protocol.ProtocolResult, protocol.SweepPoint):
-            def counting(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", counting)
-        grid = np.linspace(0.0, Timescales(N_BAR).half_revival, 50)
-        columns = protocol.sweep_columns(make_config(0.0), grid)
-        assert len(columns.reading) == 50 and columns.failures == (None,) * 50
-        assert built == []
-        protocol.sweep_interaction_time(make_config(0.0), grid[:2])
-        assert built == ["ProtocolResult", "SweepPoint"] * 2
 
     def test_sweep_is_a_list_of_points(self):
         # Built in the call, so a caller that times the sweep times its points.
@@ -523,17 +458,10 @@ class TestSweepColumns:
         assert type(points) is list and len(points) == 4
         assert all(type(point) is protocol.SweepPoint for point in points)
 
-    def test_checked_raises_the_first_failed_points_own_error(self):
-        columns = protocol.sweep_columns(make_config(0.0), [-1.0, 0.0, 1e308])
-        with pytest.raises(ValueError, match="^interaction_time must be non-negative"):
-            columns.checked()
-        clean = protocol.sweep_columns(make_config(0.0), [0.0, 9.0])
-        assert clean.checked() is clean
-
     def test_grid_checks_are_the_sweeps(self):
         for grid, message in (([], "nonempty"), ([2.0, 1.0], "ascending")):
             with pytest.raises(ValueError, match=message):
-                protocol.sweep_columns(make_config(0.0), grid)
+                protocol.sweep_interaction_time(make_config(0.0), grid)
 
 
 class TestInitialStateIndependence:
