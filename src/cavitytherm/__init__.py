@@ -14,13 +14,29 @@ other name is imported from the module that defines it: ``.hilbert``,
 
 from __future__ import annotations
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-# Load order hilbert, analytic, dynamics, protocol: benchmark timings move with it.
-from .hilbert import LEVEL_E, LEVEL_G, CoherentPrep, PhysicalParams
-from .protocol import ProtocolConfig, run_protocol, sweep_interaction_time
+# Load order: importing the package loads only the numpy-free ``analytic``;
+# each numpy-backed name loads its module on first access (PEP 562), so the
+# closed-form CLI commands import no numpy. Benchmark timings move with it.
+from .analytic import LEVEL_E, LEVEL_G, PhysicalParams
+
+_ON_FIRST_USE = {
+    "CoherentPrep": ".hilbert", "ProtocolConfig": ".protocol",
+    "run_protocol": ".protocol", "sweep_interaction_time": ".protocol",
+}
 
 __all__ = [
     "__version__", "LEVEL_E", "LEVEL_G", "CoherentPrep", "PhysicalParams",
     "ProtocolConfig", "run_protocol", "sweep_interaction_time",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_ON_FIRST_USE[name], __name__), name)
+    globals()[name] = value
+    return value

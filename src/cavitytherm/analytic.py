@@ -10,6 +10,12 @@ attach flags instead of raising.
 
 Temperatures are reported in units of ``delta_e`` (equivalently
 ``delta_e / k_B`` with Boltzmann's constant set to 1).
+
+The module is the package's numpy-free base: it also holds the level
+indices, :class:`PhysicalParams` and ``PULSE_MODES``, which the other
+modules import from here, and its three array-valued closed forms import
+numpy when called. So the floor and ceiling temperatures, and the CLI
+commands that print only them, load no numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +24,41 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
+LEVEL_G = 0
+LEVEL_E = 1
 
-from .hilbert import LEVEL_E, LEVEL_G, PhysicalParams
+# How the protocol's half pulse is realized (``protocol.ProtocolConfig``).
+PULSE_MODES = ("explicit_unitary", "diagonalize")
+
+
+@dataclass(frozen=True)
+class PhysicalParams:
+    """Physical constants of the resonant atom-field system.
+
+    Parameters
+    ----------
+    delta_e : float
+        Atomic level splitting. Doubles as the field frequency because the
+        package only treats the resonant case.
+    g : float
+        Atom-field coupling strength, real and positive. A complex coupling
+        is equivalent to a real one with its phase absorbed into the field
+        phase, so only the magnitude is accepted here.
+    """
+
+    delta_e: float = 1.0
+    g: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0 < self.delta_e < math.inf:
+            raise ValueError(f"delta_e must be positive and finite, got {self.delta_e}")
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"g must be positive and finite, got {self.g}")
+
+    @property
+    def omega(self) -> float:
+        """Field frequency; equal to ``delta_e`` on resonance."""
+        return self.delta_e
 
 
 class ValidityWarning(UserWarning):
@@ -84,6 +122,8 @@ def rho11_analytic(t, n_bar: float, params: PhysicalParams | None = None,
     Scalar or array ``t``; valid through the collapse, ``t`` up to a few
     ``tau_collapse``.
     """
+    import numpy as np
+
     params = params or PhysicalParams()
     if initial_level not in (LEVEL_G, LEVEL_E):
         raise ValueError(f"initial_level must be 0 (g) or 1 (e), got {initial_level}")
@@ -113,6 +153,8 @@ def rho01_analytic(t, n_bar: float, params: PhysicalParams | None = None,
     linearly at the carrier rate ``omega``. Valid on
     ``[3 tau_collapse, tau_revival / 2]``; scalar or array ``t``.
     """
+    import numpy as np
+
     params = params or PhysicalParams()
     Timescales(n_bar)  # rejects an n_bar that is not positive and finite
     t = np.asarray(t, dtype=float)
@@ -130,6 +172,8 @@ def pe_after_pulse_analytic(t, n_bar: float,
     validity window reduces to ``(1/2)(1 - sin(g t / (2 sqrt(n_bar))))``.
     Emits :class:`ValidityWarning` outside ``[0, tau_revival / 2]``.
     """
+    import numpy as np
+
     params = params or PhysicalParams()
     scales = Timescales(n_bar, params.g)
     t_arr = np.asarray(t, dtype=float)
@@ -247,25 +291,34 @@ def t_min(n_bar: float, delta_e: float = 1.0) -> TemperatureReading:
 
 _LAMBERT_MAX_ITER = 100  # Halley steps before lambert_w0 gives up
 
+# The Halley step's products overflow from x near 2.6e302 on (``w exp(w)``
+# itself from 1.8e305 on), so above 1e300 the iteration runs on both sides
+# of ``w exp(w) = x`` times exp(-700). Below it the shift is 0 and changes
+# no bit.
+_LAMBERT_SHIFT_ABOVE = 1e300
+_LAMBERT_SHIFT = 700.0
+
 
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function for ``x >= 0``.
 
     Halley iteration seeded with ``log1p(x)``; converges in a handful of
     steps on the whole non-negative axis with residual
-    ``|W exp(W) - x| <= 1e-12 max(1, x)``. Raises ``ArithmeticError`` if the
-    iteration has not converged after ``_LAMBERT_MAX_ITER`` steps
-    (unreachable for ``x >= 0``).
+    ``|W exp(W) - x| <= 1e-12 max(1, x)``, and returns inf, its limit, at
+    ``x = inf``. Raises ``ArithmeticError`` if the iteration has not
+    converged after ``_LAMBERT_MAX_ITER`` steps (unreachable for ``x >= 0``).
     """
     x = float(x)
     if not x >= 0.0:
         raise ValueError(f"lambert_w0 requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
+    if x == 0.0 or x == math.inf:
+        return x
+    shift = _LAMBERT_SHIFT if x > _LAMBERT_SHIFT_ABOVE else 0.0
+    x_shifted = x * math.exp(-shift)
     w = math.log1p(x)
     for _ in range(_LAMBERT_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
+        ew = math.exp(w - shift)
+        f = w * ew - x_shifted
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
         step = f / denom
         w -= step
@@ -314,7 +367,9 @@ def collapse_condition_time(n_bar: float,
     scales = Timescales(n_bar, g)  # rejects an n_bar that is not positive and finite
 
     def f(t: float) -> float:
-        return (COLLAPSE_SAFETY_FACTOR * math.exp(-((t / scales.tau_collapse) ** 2))
+        # exp(-28^2) is already 0; the clamp keeps the square from
+        # overflowing at the window's end for n_bar near 1e308.
+        return (COLLAPSE_SAFETY_FACTOR * math.exp(-(min(t / scales.tau_collapse, 28.0) ** 2))
                 - math.sin(g * t / (2.0 * math.sqrt(n_bar))))
 
     lo, hi = 0.0, scales.half_revival
@@ -353,7 +408,10 @@ def t_max(n_bar: float, delta_e: float = 1.0, variant: str = "numeric",
     kept verbatim for shape reproduction (the small-angle derivation gives a
     leading coefficient 2 rather than 4, so the variants differ by a roughly
     constant factor; the validation report records the ratio without judging
-    it). Both variants are monotone increasing in ``n_bar``.
+    it). Both variants are monotone increasing in ``n_bar``. Where the
+    log's ratio rounds to 1 (from ``n_bar`` near 1e34 on) the closed form
+    reads ``T = inf`` at ``pe = 1/2``, as the numeric variant does there; it
+    is undefined once ``400 n_bar`` overflows.
     """
     params = PhysicalParams(delta_e=delta_e, g=g)
     if variant == "numeric":
@@ -367,7 +425,8 @@ def t_max(n_bar: float, delta_e: float = 1.0, variant: str = "numeric",
         four_root = 4.0 * math.sqrt(n_bar)
         if root_w >= four_root:
             raise ValueError(f"closed-form t_max undefined for n_bar={n_bar}")
-        temperature = delta_e / math.log((four_root + root_w) / (four_root - root_w))
+        log_ratio = math.log((four_root + root_w) / (four_root - root_w))
+        temperature = delta_e / log_ratio if log_ratio > 0.0 else math.inf
         pe = 0.5 * (1.0 - root_w / four_root)
         return TemperatureReading(pe=pe, temperature=temperature, delta_e=delta_e)
     raise ValueError(

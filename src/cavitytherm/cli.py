@@ -7,6 +7,10 @@ or ``--out``; temperatures are in units of ``delta_e`` (``delta_e / k_B``)
 and times in ``1/g``, as stated in the CSV header comment. Exit codes:
 0 success, 1 validation-suite failure, 2 usage or configuration error,
 3 numeric failure.
+
+``fig-tmin``, ``fig-tmax``, ``--help`` and ``--version`` load no numpy:
+the commands that simulate import it and the simulating modules when they
+run.
 """
 
 from __future__ import annotations
@@ -18,15 +22,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analytic import Timescales, rho01_analytic, t_max, t_min
-from .dynamics import FieldStep
-from .hilbert import AtomDensity, CoherentPrep, PhysicalParams, bloch_components
-from .protocol import (PULSE_MODES, ProtocolConfig, SweepPoint, run_protocol,
-                       sweep_interaction_time)
+from .analytic import PULSE_MODES, PhysicalParams, Timescales, rho01_analytic, t_max, t_min
+
+if TYPE_CHECKING:
+    from .hilbert import CoherentPrep
+    from .protocol import ProtocolConfig, SweepPoint
 
 
 class ConfigError(ValueError):
@@ -150,10 +153,14 @@ class RunSpec:
         return Timescales(self.n_bar, self.g)
 
     def prep(self) -> CoherentPrep:
+        from .hilbert import CoherentPrep
+
         alpha = math.sqrt(self.n_bar) * complex(math.cos(self.phi), math.sin(self.phi))
         return CoherentPrep(alpha, self.cutoff)
 
     def protocol_config(self) -> ProtocolConfig:
+        from .protocol import ProtocolConfig
+
         if self.pe0 is not None:
             initial = {"initial_pe": self.pe0}
         else:
@@ -166,16 +173,14 @@ _UNITS_COMMENT = "# units: temperatures in delta_e/k_B, times in 1/g"
 
 
 def _plain_value(value):
-    """A cell as a Python scalar: numpy bools and ints unwrapped, +/-inf as tokens.
+    """A cell as a Python scalar: numpy scalars unwrapped, +/-inf as tokens.
 
-    NaN is refused. CSV and JSON output both go through here.
+    NaN is refused. CSV and JSON output both go through here. A numpy scalar
+    is told by its ``item`` method, so the closed-form commands need no numpy.
     """
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
+    if hasattr(value, "item"):
+        value = value.item()
+    if isinstance(value, float):
         if math.isnan(value):
             raise ValueError("refusing to emit NaN")
         if math.isinf(value):
@@ -235,6 +240,8 @@ def _protocol_row(point: SweepPoint) -> dict:
 
     A failed point's row has only ``t`` and its message.
     """
+    from .hilbert import bloch_components
+
     if not point.ok:
         return {"t": point.t, "error": point.error}
     result = point.result
@@ -248,12 +255,19 @@ def _protocol_row(point: SweepPoint) -> dict:
 
 
 def cmd_run(spec: RunSpec) -> int:
+    from .protocol import SweepPoint, run_protocol
+
     point = SweepPoint(spec.time, run_protocol(spec.protocol_config()))
     _write_output(spec, _RUN_FIELDS, [_protocol_row(point)])
     return 0
 
 
 def cmd_fig_rho01(spec: RunSpec) -> int:
+    import numpy as np
+
+    from .dynamics import FieldStep
+    from .hilbert import AtomDensity
+
     points = spec.grid_points if spec.grid_points is not None else 400
     grid = np.linspace(0.0, 0.6 * spec.timescales.tau_revival, points)
     levels = _INITIAL_LEVELS[spec.initial_level]
@@ -279,16 +293,22 @@ def cmd_fig_rho01(spec: RunSpec) -> int:
     return 0
 
 
-def _n_bar_grid(spec: RunSpec) -> np.ndarray:
+def _n_bar_grid(spec: RunSpec) -> list[float]:
+    """``[n_bar]`` when given, else the default grid, which needs numpy.
+
+    ``np.logspace``'s points are not bit-equal to ``10.0 ** y`` in Python.
+    """
     if spec.n_bar_given:
-        return np.array([spec.n_bar])
+        return [spec.n_bar]
+    import numpy as np
+
     points = spec.grid_points if spec.grid_points is not None else 20
-    return np.logspace(1.0, 3.0, points)
+    return np.logspace(1.0, 3.0, points).tolist()
 
 
 def cmd_fig_tmin(spec: RunSpec) -> int:
     rows = [
-        {"n_bar": float(n), "t_min": t_min(float(n), spec.delta_e).temperature}
+        {"n_bar": n, "t_min": t_min(n, spec.delta_e).temperature}
         for n in _n_bar_grid(spec)
     ]
     _write_output(spec, ["n_bar", "t_min"], rows)
@@ -299,10 +319,9 @@ def cmd_fig_tmax(spec: RunSpec) -> int:
     rows = []
     for n in _n_bar_grid(spec):
         rows.append({
-            "n_bar": float(n),
-            "t_max_numeric": t_max(float(n), spec.delta_e, "numeric",
-                                   g=spec.g).temperature,
-            "t_max_closed_form": t_max(float(n), spec.delta_e, "closed_form",
+            "n_bar": n,
+            "t_max_numeric": t_max(n, spec.delta_e, "numeric", g=spec.g).temperature,
+            "t_max_closed_form": t_max(n, spec.delta_e, "closed_form",
                                        g=spec.g).temperature,
         })
     _write_output(spec, ["n_bar", "t_max_numeric", "t_max_closed_form"], rows)
@@ -310,6 +329,10 @@ def cmd_fig_tmax(spec: RunSpec) -> int:
 
 
 def cmd_sweep(spec: RunSpec) -> int:
+    import numpy as np
+
+    from .protocol import sweep_interaction_time
+
     points = spec.grid_points if spec.grid_points is not None else 200
     grid = np.linspace(0.0, spec.timescales.half_revival, points)
     sweep = sweep_interaction_time(spec.protocol_config(), grid)

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-LEVEL_G = 0
-LEVEL_E = 1
+from .analytic import LEVEL_E, LEVEL_G, PhysicalParams
 
 DEFAULT_TAIL_TOLERANCE = 1e-12
 
@@ -43,36 +43,6 @@ _POSITIVITY_SLACK = 1e-12
 
 class TruncationError(ValueError):
     """Raised when a Fock window leaves more head or tail mass than tolerated."""
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Physical constants of the resonant atom-field system.
-
-    Parameters
-    ----------
-    delta_e : float
-        Atomic level splitting. Doubles as the field frequency because the
-        package only treats the resonant case.
-    g : float
-        Atom-field coupling strength, real and positive. A complex coupling
-        is equivalent to a real one with its phase absorbed into the field
-        phase, so only the magnitude is accepted here.
-    """
-
-    delta_e: float = 1.0
-    g: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.delta_e < math.inf:
-            raise ValueError(f"delta_e must be positive and finite, got {self.delta_e}")
-        if not 0 < self.g < math.inf:
-            raise ValueError(f"g must be positive and finite, got {self.g}")
-
-    @property
-    def omega(self) -> float:
-        """Field frequency; equal to ``delta_e`` on resonance."""
-        return self.delta_e
 
 
 def _check_n_bar(n_bar: float) -> None:
@@ -247,7 +217,8 @@ class CoherentPrep:
     alpha : complex
         Coherent amplitude; ``n_bar = |alpha|^2`` and ``phi = arg(alpha)``.
     n_max : int, optional
-        Fock cutoff, the window's upper edge. Defaults to
+        Fock cutoff, the window's upper edge; any integer type, else
+        ``ValueError``. Defaults to
         :func:`default_cutoff` for ``n_bar``. A cutoff that leaves more than
         ``DEFAULT_TAIL_TOLERANCE`` of tail mass raises
         :class:`TruncationError` naming the smallest one that does not.
@@ -270,6 +241,10 @@ class CoherentPrep:
         _check_n_bar(abs(self.alpha) * abs(self.alpha))  # inf, where ** 2 would raise
         if self.n_max is None:
             object.__setattr__(self, "n_max", default_cutoff(self.n_bar))
+        try:  # numpy integers pass; 150.0 would reach numpy as a bad array size
+            object.__setattr__(self, "n_max", operator.index(self.n_max))
+        except TypeError:
+            raise ValueError(f"n_max must be an integer, got {self.n_max!r}") from None
         if self.n_max < 0:
             raise ValueError(f"n_max must be non-negative, got {self.n_max}")
         tail = self.tail_mass()

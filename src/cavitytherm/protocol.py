@@ -25,19 +25,22 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .analytic import TemperatureReading, Timescales, temperature_from_pe
+from .analytic import (
+    PULSE_MODES,
+    PhysicalParams,
+    TemperatureReading,
+    Timescales,
+    temperature_from_pe,
+)
 from .dynamics import FieldStep, check_interaction_time
 from .hilbert import (
     AtomDensity,
     CoherentPrep,
-    PhysicalParams,
     check_density,
     density_eigenvalues,
     thermal_atom,
     trace_distance,
 )
-
-PULSE_MODES = ("explicit_unitary", "diagonalize")
 
 # Largest off-diagonal magnitude the explicit pulse may leave before the
 # result is flagged.

@@ -263,6 +263,16 @@ class TestLambertW:
         assert analytic.lambert_w0(0.0) == 0.0
         assert analytic.lambert_w0(math.e) == pytest.approx(1.0, abs=1e-12)
         assert analytic.lambert_w0(14400.0) == pytest.approx(7.55, abs=0.01)
+        assert analytic.lambert_w0(math.inf) == math.inf
+
+    @pytest.mark.parametrize("x", [1e300, 1e303, 4e305, 4e307, 1.7976931348623157e308])
+    def test_top_of_the_float_range(self, x):
+        # Unscaled, the Halley step overflows from x near 2.6e302 on: it
+        # stopped at its seed log1p(x), and raised from 1.8e305 on.
+        expected = float(scipy.special.lambertw(x).real)
+        w = analytic.lambert_w0(x)
+        assert w == pytest.approx(expected, rel=1e-15)
+        assert abs(w + math.log(w) - math.log(x)) <= 1e-15 * math.log(x)
 
     def test_against_scipy_oracle(self):
         for x in np.logspace(-3.0, 6.0, 100):
@@ -350,4 +360,18 @@ class TestTMax:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             analytic.t_max(36.0, variant="exact")
+
+    @pytest.mark.parametrize("n_bar", [1e300, 1e306, 1e308])
+    def test_extreme_n_bar_reads_infinite_temperature(self, n_bar):
+        # pe rounds to 1/2 at the collapse root; the closed form's log ratio
+        # rounds to 0 at 1e300, and 400 n_bar overflows from 1e306 on.
+        numeric = analytic.t_max(n_bar, variant="numeric")
+        assert (numeric.pe, numeric.temperature) == (0.5, math.inf)
+        if 400.0 * n_bar < math.inf:
+            closed = analytic.t_max(n_bar, variant="closed_form")
+            assert (closed.pe, closed.temperature) == (0.5, math.inf)
+        else:
+            assert analytic.collapse_condition_time(n_bar).linearized == math.inf
+            with pytest.raises(ValueError, match="closed-form t_max undefined"):
+                analytic.t_max(n_bar, variant="closed_form")
 

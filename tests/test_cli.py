@@ -407,6 +407,21 @@ class TestFigTmax:
             temps = [float(r[column]) for r in rows]
             assert all(b > a for a, b in zip(temps, temps[1:]))
 
+    def test_log_ratio_rounding_to_zero_reads_infinite_temperature(self, capsys):
+        # Was "float division by zero" (exit 3).
+        code, out, err = run_cli(capsys, "fig-tmax", "--n-bar", "1e300")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2] == "1.0000000000000001e+300,inf,inf"
+
+    @pytest.mark.parametrize("n_bar", ["1e306", "1e308"])
+    def test_overflowing_collapse_argument_names_the_closed_form(self, capsys, n_bar):
+        # Was "lambert_w0 did not converge for x=inf" and an unnamed
+        # OverflowError: 400 n_bar overflows, and so did (t / tau_c)^2.
+        code, out, err = run_cli(capsys, "fig-tmax", "--n-bar", n_bar)
+        assert (code, out) == (3, "")
+        assert err == (f"numeric failure: closed-form t_max undefined for "
+                       f"n_bar={float(n_bar)}\n")
+
 
 class TestSweep:
     def test_grid_and_fields(self, capsys):
@@ -483,6 +498,28 @@ class TestValidate:
                 assert row["name"] in proc.stdout
                 assert row["detail"] != ""
 
+    @pytest.mark.parametrize("value, cell, json_value", [
+        (np.bool_(True), "true", True),
+        (np.bool_(False), "false", False),
+        (np.int64(3), "3", 3),
+        (np.float64(0.1), "0.10000000000000001", 0.1),
+        (np.float32(0.1), "0.10000000149011612", 0.10000000149011612),
+        (np.float64(np.inf), "inf", "inf"),
+        (np.float32(-np.inf), "-inf", "-inf"),
+        (math.inf, "inf", "inf"),
+        (-math.inf, "-inf", "-inf"),
+    ])
+    def test_numpy_scalar_cells(self, value, cell, json_value):
+        assert cli._render_csv(["v"], [{"v": value}]).splitlines()[2] == cell
+        (row,) = json.loads(cli._render_json(["v"], [{"v": value}]))["rows"]
+        assert row["v"] == json_value and type(row["v"]) is type(json_value)
+
+    @pytest.mark.parametrize("value", [math.nan, np.float64(np.nan), np.float32(np.nan)])
+    def test_nan_cells_are_refused(self, value):
+        for render in (cli._render_csv, cli._render_json):
+            with pytest.raises(ValueError, match="refusing to emit NaN"):
+                render(["v"], [{"v": value}])
+
     def test_numpy_bools_format_like_python_bools(self):
         assert cli._fmt_cell(np.bool_(True)) == "true"
         assert cli._fmt_cell(np.bool_(False)) == "false"
@@ -524,6 +561,42 @@ def test_cli_import_loads_no_oracle_modules(src_env):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, check=True, env=src_env)
     assert proc.stdout.strip() == "[]"
+
+
+def _cli_child(src_env, argv, block_numpy):
+    """``python -m cavitytherm argv`` in a child, numpy unimportable if asked."""
+    block = "sys.modules['numpy'] = None; " if block_numpy else ""
+    code = (f"import runpy, sys; {block}"
+            "runpy.run_module('cavitytherm', run_name='__main__', alter_sys=True)")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=120, env=src_env)
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["fig-tmin", "--n-bar", "46"], 0),
+    (["fig-tmax", "--n-bar", "46"], 0),
+    (["--version"], 0),
+    (["--help"], 0),
+    (["run", "--config", "{bad_config}"], 2),
+], ids=["fig-tmin", "fig-tmax", "version", "help", "bad-config"])
+def test_closed_form_commands_need_no_numpy(src_env, tmp_path, argv, exit_code):
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("n_bar = 36\nbogus = 1\n", encoding="utf-8")
+    argv = [a.format(bad_config=bad_config) for a in argv]
+    blocked = _cli_child(src_env, argv, block_numpy=True)
+    normal = _cli_child(src_env, argv, block_numpy=False)
+    assert normal.returncode == exit_code, normal.stderr
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+        normal.returncode, normal.stdout, normal.stderr)
+
+
+def test_simulating_commands_import_numpy_when_they_run(src_env):
+    normal = _cli_child(src_env, ["run", "--time", "9"], block_numpy=False)
+    assert normal.returncode == 0, normal.stderr
+    assert len(parse_csv(normal.stdout)[1]) == 1
+    blocked = _cli_child(src_env, ["run", "--time", "9"], block_numpy=True)
+    assert blocked.returncode == 1
+    assert "ModuleNotFoundError: import of numpy halted" in blocked.stderr
 
 
 class TestArgumentParsing:

@@ -335,6 +335,16 @@ class TestCoherentPrep:
         with pytest.raises(ValueError, match="non-negative"):
             hilbert.CoherentPrep(0.0, n_max=-1)
 
+    @pytest.mark.parametrize("n_max", [150.0, np.float64(150.0), "150"],
+                             ids=["float", "numpy-float", "str"])
+    def test_non_integer_cutoff_rejected_by_name(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            hilbert.CoherentPrep(6.0, n_max)
+
+    def test_numpy_integer_cutoff_is_stored_as_int(self):
+        prep = hilbert.CoherentPrep(6.0, np.int64(150))
+        assert type(prep.n_max) is int and prep.n_max == 150
+
     @pytest.mark.parametrize("n_bar, window", [(36.0, 129), (1e3, 801), (1e4, 2441),
                                                (1e5, 7631)])
     def test_window_spans_twelve_sigma_on_each_side(self, n_bar, window):
