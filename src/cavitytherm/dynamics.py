@@ -18,8 +18,9 @@ Three routes to the same physics, each held to the next:
   :meth:`FieldStep.grid_columns`, evaluates and checks a whole grid of
   times in chunks of at most ``_CHUNK_ELEMENTS`` angles into float
   columns, which :meth:`FieldStep.evolve_grid` and its one-point case
-  :meth:`FieldStep.evolve` turn into states. Each time keeps its own dot
-  products and carrier, so a state has the same bits on any grid.
+  :meth:`FieldStep.evolve` turn into states. Each time's dot products
+  (one ``np.vecdot`` per chunk) and carrier are its own, so a state has
+  the same bits on any grid.
 * :func:`coherence_from_propagator` is its cross-check: :func:`propagate`
   applies the closed-form block propagator to the joint pure state and
   :func:`~cavitytherm.hilbert.partial_trace_field` traces the field out.
@@ -159,9 +160,10 @@ class FieldStep:
     the elementwise work (the Rabi angles, their cos and sin, the squares
     and the envelope products) for a chunk of times at once, at most
     ``_CHUNK_ELEMENTS`` elements per temporary and never less than one
-    time. Each time keeps its own three ``np.dot`` reductions over
-    contiguous rows and its own scalar carrier, so a state is the same
-    bits whatever the grid and the chunk it sits in.
+    time, and its three reductions as one ``np.vecdot`` each over the
+    chunk's rows. For float64 that is the unit-stride BLAS ``ddot`` that
+    ``np.dot`` runs on a row alone, and each time keeps its own scalar
+    carrier, so a state is the same bits whatever the grid and its chunk.
     """
 
     __slots__ = ("g", "omega", "phase", "weights", "pairs", "root_k")
@@ -256,29 +258,28 @@ class FieldStep:
         """``rho11`` and the real coherence envelope after each of ``times``.
 
         The times must be positive, with finite Rabi angles. A chunk of
-        ``_CHUNK_ELEMENTS // K`` times (at least one) lays its rows of
-        ``K = root_k.size`` angles end to end, so every elementwise step is
-        one contiguous pass and row ``r`` starts at ``r K`` in each of them;
-        the few values that straddle two rows are never read. Each row's
-        three dot products are taken on their own.
+        ``_CHUNK_ELEMENTS // K`` times (at least one) is one C-contiguous
+        ``(rows, K)`` block of angles, ``K = root_k.size``, so every
+        elementwise step is one contiguous pass; the envelope's last two
+        columns reach into the next row and are never read. Each reduction
+        is one ``np.vecdot`` over row views of the chunk.
         """
         w, pairs = self.weights, self.pairs
-        k, n = self.root_k.size, w.size  # n = k - 1
         rho11, envelope = np.empty(times.size), np.empty(times.size)
         g_t = self.g * times
-        rows = max(1, _CHUNK_ELEMENTS // k)
+        rows = max(1, _CHUNK_ELEMENTS // self.root_k.size)
         for lo in range(0, times.size, rows):
-            theta = (g_t[lo:lo + rows, None] * self.root_k).ravel()
+            theta = g_t[lo:lo + rows, None] * self.root_k
             c = np.cos(theta)
-            c[k - 1::k] = 1.0
-            s = np.sin(theta[:-1])
-            c_sq, s_sq = c[1:] ** 2, s ** 2
-            mix = (1.0 - p) * c[:-2]
-            mix -= p * c[2:]
-            mix *= s[1:]
-            for i, o in zip(range(lo, times.size), range(0, theta.size, k)):
-                rho11[i] = p * w.dot(c_sq[o:o + n]) + (1.0 - p) * w.dot(s_sq[o:o + n])
-                envelope[i] = pairs.dot(mix[o:o + n - 1])
+            c[:, -1] = 1.0
+            s = np.sin(theta)
+            mix = np.multiply(1.0 - p, c, out=theta)  # the angles are not read again
+            flat = mix.reshape(-1)[:-2]
+            flat -= p * c.reshape(-1)[2:]
+            flat *= s.reshape(-1)[1:-1]
+            envelope[lo:lo + rows] = np.vecdot(mix[:, :-2], pairs)
+            rho11[lo:lo + rows] = (p * np.vecdot((c ** 2)[:, 1:], w)
+                                   + (1.0 - p) * np.vecdot((s ** 2)[:, :-1], w))
         return rho11, envelope
 
 

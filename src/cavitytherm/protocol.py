@@ -21,6 +21,7 @@ south pole (minimum excited population).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -104,6 +105,10 @@ class ValidityFlags:
     @property
     def in_window(self) -> bool:
         return self.collapse_completed and self.within_half_revival
+
+
+# The eight flag values, keyed by their fields; a sweep's points share them.
+_FLAGS = {key: ValidityFlags(*key) for key in itertools.product((False, True), repeat=3)}
 
 
 @dataclass(frozen=True)
@@ -279,8 +284,8 @@ def _run_grid(config: ProtocolConfig,
             atom if t == 0.0 else AtomDensity._checked(p, c),
             AtomDensity._checked(p_post, c_post),
             reading,
-            ValidityFlags(t >= collapse_complete, t <= half_revival,
-                          residual <= PULSE_RESIDUAL_TOLERANCE),
+            _FLAGS[t >= collapse_complete, t <= half_revival,
+                   residual <= PULSE_RESIDUAL_TOLERANCE],
             residual,
         )
     return results

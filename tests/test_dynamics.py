@@ -429,7 +429,7 @@ def chunk_rows(field_step: dynamics.FieldStep) -> int:
 class TestGridStep:
     """The kernel over a grid of times, in chunks, bit for bit per point."""
 
-    @pytest.mark.parametrize("n_bar", [2.0, 36.0, 1e4])
+    @pytest.mark.parametrize("n_bar", [2.0, 36.0, 1e3, 1e4])
     @pytest.mark.parametrize("tight", [False, True])
     def test_every_grid_length_equals_the_one_point_series(self, n_bar, tight):
         # At the smallest valid cutoff the top weight is large enough for the

@@ -495,3 +495,25 @@ class TestValidityFlags:
         assert protocol.ValidityFlags(True, True).in_window
         assert not protocol.ValidityFlags(False, True).in_window
         assert not protocol.ValidityFlags(True, False).in_window
+
+    def test_each_shared_value_equals_its_built_flags(self):
+        assert len(protocol._FLAGS) == 8
+        for collapsed in (False, True):
+            for within in (False, True):
+                for residual_ok in (False, True):
+                    shared = protocol._FLAGS[collapsed, within, residual_ok]
+                    assert shared == protocol.ValidityFlags(collapsed, within, residual_ok)
+
+    def test_a_sweeps_flags_equal_fresh_ones(self):
+        config = make_config(0.0)
+        scales = config.timescales()
+        grid = list(np.linspace(0.0, 1.2 * scales.tau_revival, 60))
+        seen = set()
+        for point in protocol.sweep_interaction_time(config, grid):
+            residual = point.result.pulse_residual
+            fresh = protocol.ValidityFlags(
+                point.t >= scales.collapse_complete, point.t <= scales.half_revival,
+                residual <= protocol.PULSE_RESIDUAL_TOLERANCE)
+            assert point.result.validity == fresh
+            seen.add(fresh)
+        assert len(seen) >= 3
