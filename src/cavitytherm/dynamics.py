@@ -14,11 +14,10 @@ Three routes to the same physics, each held to the next:
 * :func:`evolve_atom_field_mixture` is the reduced-state kernel the pipeline
   runs: the closed photon-number series for a diagonal atom and a coherent
   field, evaluated over real cos/sin vectors. Its field half,
-  :class:`FieldStep`, is built once per field; its time half,
-  :meth:`FieldStep.grid_columns`, evaluates and checks a whole grid of
-  times in chunks of at most ``_CHUNK_ELEMENTS`` angles into float
-  columns, which :meth:`FieldStep.evolve_grid` and its one-point case
-  :meth:`FieldStep.evolve` turn into states. Each time's dot products
+  :class:`FieldStep`, is built once per field. Its one grid entry,
+  :meth:`FieldStep.evolve_grid`, evaluates a whole grid of times in chunks
+  of at most ``_CHUNK_ELEMENTS`` angles and checks each state;
+  :meth:`FieldStep.evolve` is its one-point case. Each time's dot products
   (one ``np.vecdot`` per chunk) and carrier are its own, so a state has
   the same bits on any grid.
 * :func:`coherence_from_propagator` is its cross-check: :func:`propagate`
@@ -154,12 +153,11 @@ class FieldStep:
     series indexes them as it would from 0; one field step serves every
     time and initial atom of a sweep or figure.
 
-    The series runs over a grid of times, :meth:`grid_columns`, which
-    checks each state; :meth:`evolve_grid` and its one-point case
-    :meth:`evolve` turn its columns into states. The grid step evaluates
-    the elementwise work (the Rabi angles, their cos and sin, the squares
-    and the envelope products) for a chunk of times at once, at most
-    ``_CHUNK_ELEMENTS`` elements per temporary and never less than one
+    :meth:`evolve_grid` runs the series over a grid of times and checks
+    each state; :meth:`evolve` is its one-point case. The grid step
+    evaluates the elementwise work (the Rabi angles, their cos and sin, the
+    squares and the envelope products) for a chunk of times at once, at
+    most ``_CHUNK_ELEMENTS`` elements per temporary and never less than one
     time, and its three reductions as one ``np.vecdot`` each over the
     chunk's rows. For float64 that is the unit-stride BLAS ``ddot`` that
     ``np.dot`` runs on a row alone, and each time keeps its own scalar
@@ -191,38 +189,24 @@ class FieldStep:
                     times: Sequence[float]) -> list[AtomDensity | ValueError]:
         """Reduced states of the diagonal ``atom`` after each of ``times``.
 
-        Entry ``i`` is the state after ``times[i]`` from the columns of
-        :meth:`grid_columns`, or the ``ValueError`` that rejects that time
-        or its state there; the states are not checked again. The other
-        entries do not depend on the rejected ones. A zero time's entry is
-        ``atom`` itself.
-        """
-        return [error if error is not None else atom if t == 0.0
-                else AtomDensity._checked(pop, coherence)
-                for t, pop, coherence, error in zip(times, *self.grid_columns(atom, times))]
-
-    def grid_columns(self, atom: AtomDensity, times: Sequence[float]
-                     ) -> tuple[list[float], list[complex], list[ValueError | None]]:
-        """``rho11``, ``rho01`` and the rejection of each of ``times`` for the diagonal ``atom``.
-
-        Entry ``i`` of each list is for ``times[i]``: a Python float and
-        complex, and ``None`` or the ``ValueError`` that rejects the time
-        or its state: a negative, infinite or NaN time, one whose largest
-        Rabi angle ``g sqrt(n_max + 1) t`` or whose carrier phase
-        ``omega t`` overflows, or one whose state fails
-        :func:`~cavitytherm.hilbert.check_density`. A rejected entry
-        is NaN in both columns; the other entries do not depend on it. A
-        zero time is the identity and keeps ``atom``'s own values: the
-        series leaves ~1e-16 dust in rho11, enough to turn a maximally
-        mixed atom's infinite temperature into a finite ~1e15 reading. A
-        non-diagonal ``atom`` raises for the whole grid.
+        Entry ``i`` is the state after ``times[i]``, its ``rho11`` a Python
+        float and its ``rho01`` a complex, or the ``ValueError`` that
+        rejects the time or its state: a negative, infinite or NaN time,
+        one whose largest Rabi angle ``g sqrt(n_max + 1) t`` or whose
+        carrier phase ``omega t`` overflows, or one whose state fails
+        :func:`~cavitytherm.hilbert.check_density`. The other entries do
+        not depend on a rejected one. A zero time is the identity and its
+        entry is ``atom`` itself: the series leaves ~1e-16 dust in rho11,
+        enough to turn a maximally mixed atom's infinite temperature into a
+        finite ~1e15 reading. A non-diagonal ``atom`` raises for the whole
+        grid.
         """
         if atom.rho01 != 0:
             raise ValueError(
                 f"the atom must be diagonal (thermal), got rho01 = {atom.rho01}")
         times = [float(t) for t in times]
         top = float(self.root_k[-1])
-        errors: list[ValueError | None] = [None] * len(times)
+        states: list[AtomDensity | ValueError] = [atom] * len(times)
         run = []  # the positions the series evaluates
         for i, t in enumerate(times):
             try:
@@ -234,25 +218,21 @@ class FieldStep:
                     raise ValueError("interaction_time overflows the carrier phase "
                                      f"omega t, got {t}")
             except ValueError as exc:
-                errors[i] = exc
+                states[i] = exc
                 continue
             if t != 0.0:
                 run.append(i)
         pops, envelope = self._series(atom.rho11, np.array([times[i] for i in run]))
-        # The columns are made once the series' temporaries are freed, which
-        # keeps them out of a sweep's peak allocation.
-        rho11, rho01 = [atom.rho11] * len(times), [atom.rho01] * len(times)
         for i, pop, env in zip(run, pops.tolist(), envelope.tolist()):
             carrier = cmath.exp(1j * (self.omega * times[i] - self.phase))
-            rho11[i], rho01[i] = pop, 1j * carrier * env
+            coherence = 1j * carrier * env
             try:
-                check_density(pop, rho01[i])
+                check_density(pop, coherence)
             except ValueError as exc:
-                errors[i] = exc
-        for i, error in enumerate(errors):
-            if error is not None:
-                rho11[i], rho01[i] = math.nan, complex(math.nan, math.nan)
-        return rho11, rho01, errors
+                states[i] = exc
+            else:
+                states[i] = AtomDensity._checked(pop, coherence)
+        return states
 
     def _series(self, p: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``rho11`` and the real coherence envelope after each of ``times``.

@@ -236,18 +236,18 @@ def _run_grid(config: ProtocolConfig,
               times: list[float]) -> list[ProtocolResult | Exception]:
     """The protocol at each of ``times`` (Python floats), or the exception that stopped it.
 
-    The field step, the initial atom, the window edges, the field phase
-    and the pulse mode are read once, and the kernel evolves and checks
-    every time in one :meth:`~cavitytherm.dynamics.FieldStep.grid_columns`
-    call. Each point is then pulsed and read out in scalar ``math``
-    arithmetic on floats: the pulse of :func:`pi_half_pulse` or the
-    smaller eigenvalue of the pre-pulse state, the post-pulse state held
-    to :func:`~cavitytherm.hilbert.check_density`, its smaller eigenvalue
+    The field step, the window edges, the field phase and the pulse mode
+    are read once, and the kernel evolves and checks every time in one
+    :meth:`~cavitytherm.dynamics.FieldStep.evolve_grid` call. Each state
+    is then pulsed and read out in scalar ``math`` arithmetic on its
+    floats: the pulse of :func:`pi_half_pulse` or the smaller eigenvalue
+    of the pre-pulse state, the post-pulse state held to
+    :func:`~cavitytherm.hilbert.check_density`, its smaller eigenvalue
     clamped at 0 within ``_EIGENVALUE_SLACK``, and
-    :func:`~cavitytherm.analytic.temperature_from_pe`. A result's states
-    are built from the floats just checked, without a second check. The
-    kernel's list of rejections is filled in place and returned, so a
-    sweep holds one list per grid.
+    :func:`~cavitytherm.analytic.temperature_from_pe`. A result's
+    pre-pulse state is the kernel's; its post-pulse state is built from the
+    floats just checked. The kernel's list of states is filled in place
+    and returned, so a sweep holds one list per grid.
     """
     if not times:
         raise ValueError("t_grid must be nonempty")
@@ -255,15 +255,15 @@ def _run_grid(config: ProtocolConfig,
     if any(b < a for a, b in zip(ordered, ordered[1:])):
         raise ValueError("t_grid must be ascending")
     prep, physical = config.prep, config.physical
-    atom = config.initial_atom()
-    rho11_pre, rho01_pre, results = FieldStep(prep, physical).grid_columns(atom, times)
+    results = FieldStep(prep, physical).evolve_grid(config.initial_atom(), times)
     scales = config.timescales()
     collapse_complete, half_revival = scales.collapse_complete, scales.half_revival
     phi, delta_e = prep.phi, physical.delta_e
     explicit = config.pulse_mode == "explicit_unitary"
-    for i, (t, p, c) in enumerate(zip(times, rho11_pre, rho01_pre)):
-        if results[i] is not None:
+    for i, (t, rho) in enumerate(zip(times, results)):
+        if isinstance(rho, ValueError):
             continue
+        p, c = rho.rho11, rho.rho01
         try:
             if explicit:
                 p_post, c_post = _quarter_turn(p, c, cooling_axis_azimuth(t, phi, physical))
@@ -281,7 +281,7 @@ def _run_grid(config: ProtocolConfig,
             continue
         residual = abs(c_post)
         results[i] = ProtocolResult(
-            atom if t == 0.0 else AtomDensity._checked(p, c),
+            rho,
             AtomDensity._checked(p_post, c_post),
             reading,
             _FLAGS[t >= collapse_complete, t <= half_revival,

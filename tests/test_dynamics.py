@@ -456,16 +456,18 @@ class TestGridStep:
         field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0 * np.exp(0.4j)))
         atom = hilbert.AtomDensity(0.3)
         times = [0.0, 1.5, math.nan, -1.0, 9.0, 1e308]
-        rho11, rho01, errors = field_step.grid_columns(atom, times)
         states = field_step.evolve_grid(atom, times)
-        assert [e is None for e in errors] == [True, True, False, False, True, False]
-        for state, pop, coherence, error in zip(states, rho11, rho01, errors):
-            assert type(pop) is float and type(coherence) is complex
-            if error is None:
-                assert (pop, coherence) == (state.rho11, state.rho01)
-            else:
-                assert isinstance(state, ValueError) and str(state) == str(error)
-                assert math.isnan(pop) and cmath.isnan(coherence)
+        finite = "interaction_time must be non-negative and finite, got "
+        assert [str(state) if isinstance(state, ValueError) else None
+                for state in states] == [
+            None, None, finite + "nan", finite + "-1.0", None,
+            "interaction_time overflows the Rabi angle g sqrt(n_max + 1) t, got 1e+308"]
+        assert states[0] is atom
+        for t, state in zip(times, states):
+            if not isinstance(state, ValueError):
+                assert type(state.rho11) is float and type(state.rho01) is complex
+                alone = field_step.evolve(atom, t)
+                assert (state.rho11, state.rho01) == (alone.rho11, alone.rho01)
 
     def test_empty_grid(self):
         field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))
@@ -496,7 +498,7 @@ class TestGridStep:
     def test_a_state_that_fails_check_density_is_rejected_in_the_kernel(self, monkeypatch):
         prep, atom = hilbert.CoherentPrep(6.0 * np.exp(0.9j)), hilbert.AtomDensity(0.3)
         times, bad = [0.0, 2.0, 5.0, 9.0], 2
-        clean = dynamics.FieldStep(prep).grid_columns(atom, times)
+        clean = dynamics.FieldStep(prep).evolve_grid(atom, times)
         series = dynamics.FieldStep._series
 
         def planted(self, p, run_times):
@@ -507,16 +509,11 @@ class TestGridStep:
         monkeypatch.setattr(dynamics.FieldStep, "_series", planted)
         message = "rho11 must lie in [0, 1], got 1.5"
         field_step = dynamics.FieldStep(prep)
-        rho11, rho01, errors = field_step.grid_columns(atom, times)
-        assert type(errors[bad]) is ValueError and str(errors[bad]) == message
-        assert math.isnan(rho11[bad]) and cmath.isnan(rho01[bad])
+        states = field_step.evolve_grid(atom, times)
+        assert type(states[bad]) is ValueError and str(states[bad]) == message
         for i in range(len(times)):
             if i != bad:
-                assert errors[i] is None
-                assert (rho11[i], rho01[i]) == (clean[0][i], clean[1][i])
-
-        state = field_step.evolve_grid(atom, times)[bad]
-        assert type(state) is ValueError and str(state) == message
+                assert (states[i].rho11, states[i].rho01) == (clean[i].rho11, clean[i].rho01)
         with pytest.raises(ValueError) as raised:
             field_step.evolve(atom, times[bad])
         assert str(raised.value) == message
@@ -534,14 +531,14 @@ class TestGridStep:
         # omega t overflows at t = 2 and 3 when omega = 1e308; the Rabi angle does not.
         prep, atom = hilbert.CoherentPrep(6.0 * np.exp(0.9j)), hilbert.AtomDensity(0.3)
         field_step = dynamics.FieldStep(prep, hilbert.PhysicalParams(delta_e=1e308))
-        rho11, rho01, errors = field_step.grid_columns(atom, [0.0, 0.5, 2.0, 1.0, 3.0])
-        assert [str(error) if error else None for error in errors] == [
+        states = field_step.evolve_grid(atom, [0.0, 0.5, 2.0, 1.0, 3.0])
+        assert [str(state) if isinstance(state, ValueError) else None
+                for state in states] == [
             None, None, "interaction_time overflows the carrier phase omega t, got 2.0",
             None, "interaction_time overflows the carrier phase omega t, got 3.0"]
-        assert math.isnan(rho11[2]) and cmath.isnan(rho01[4])
-        clean = field_step.grid_columns(atom, [0.0, 0.5, 1.0])
-        assert [repr(rho11[i]) for i in (0, 1, 3)] == [repr(x) for x in clean[0]]
-        assert [repr(rho01[i]) for i in (0, 1, 3)] == [repr(x) for x in clean[1]]
+        clean = field_step.evolve_grid(atom, [0.0, 0.5, 1.0])
+        assert [repr(states[i].rho11) for i in (0, 1, 3)] == [repr(x.rho11) for x in clean]
+        assert [repr(states[i].rho01) for i in (0, 1, 3)] == [repr(x.rho01) for x in clean]
 
     def test_overflowing_time_raises_by_name_without_a_warning(self):
         field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))
