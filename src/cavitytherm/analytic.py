@@ -202,6 +202,15 @@ class TemperatureReading:
     temperature: float
     delta_e: float = 1.0
 
+    @classmethod
+    def _checked(cls, pe: float, temperature: float, delta_e: float) -> TemperatureReading:
+        """The reading :func:`temperature_from_pe` has just checked, set slot by slot."""
+        reading = object.__new__(cls)
+        _SET_PE(reading, pe)
+        _SET_TEMPERATURE(reading, temperature)
+        _SET_DELTA_E(reading, delta_e)
+        return reading
+
     @property
     def inverted(self) -> bool:
         return self.pe > 0.5
@@ -211,6 +220,10 @@ class TemperatureReading:
         if self.temperature == 0.0:
             return math.inf
         return 1.0 / self.temperature
+
+
+_SET_PE, _SET_TEMPERATURE, _SET_DELTA_E = (
+    getattr(TemperatureReading, name).__set__ for name in TemperatureReading.__slots__)
 
 
 def temperature_from_pe(pe: float, delta_e: float = 1.0) -> TemperatureReading:
@@ -231,7 +244,7 @@ def temperature_from_pe(pe: float, delta_e: float = 1.0) -> TemperatureReading:
         temperature = -0.0
     else:
         temperature = delta_e / math.log((1.0 - pe) / pe)
-    return TemperatureReading(pe=pe, temperature=temperature, delta_e=delta_e)
+    return TemperatureReading._checked(pe, temperature, delta_e)
 
 
 PE_HALF_REVIVAL_VARIANTS = ("paper", "leading_order")

@@ -400,11 +400,12 @@ class AtomDensity:
         """The state of a float and a complex that :func:`check_density` has passed.
 
         Skips the conversions and the checks of construction, which the
-        caller has already made on these very values.
+        caller has already made on these very values, and sets the slots
+        through their descriptors rather than the frozen ``__setattr__``.
         """
         rho = object.__new__(cls)
-        object.__setattr__(rho, "rho11", rho11)
-        object.__setattr__(rho, "rho01", rho01)
+        _SET_RHO11(rho, rho11)
+        _SET_RHO01(rho, rho01)
         return rho
 
     @property
@@ -425,6 +426,9 @@ class AtomDensity:
             [[self.rho00, self.rho01], [np.conj(self.rho01), self.rho11]],
             dtype=np.complex128,
         )
+
+
+_SET_RHO11, _SET_RHO01 = (getattr(AtomDensity, name).__set__ for name in AtomDensity.__slots__)
 
 
 def partial_trace_field(state: JointPureState) -> AtomDensity:

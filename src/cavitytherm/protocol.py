@@ -92,8 +92,11 @@ def cooling_axis_azimuth(t: float, phi: float = 0.0,
     return params.omega * t - phi + math.pi
 
 
-# A sweep keeps one of each per-point class (these, AtomDensity and
-# TemperatureReading) per time; slots keep them a third smaller.
+# A sweep builds five objects per point: the kernel's pre-pulse AtomDensity,
+# the post-pulse one, a TemperatureReading, a ProtocolResult and a SweepPoint.
+# Slots keep each a third smaller and let their ``_checked`` constructors set
+# the fields through the slot descriptors. Flags are not among them: every
+# point shares one of the eight ``_FLAGS`` values below.
 @dataclass(frozen=True, slots=True)
 class ValidityFlags:
     """Where the interaction time sits relative to the protocol's window."""
@@ -175,6 +178,18 @@ class ProtocolResult:
     validity: ValidityFlags
     pulse_residual: float
 
+    @classmethod
+    def _checked(cls, pre: AtomDensity, post: AtomDensity, reading: TemperatureReading,
+                 validity: ValidityFlags, residual: float) -> ProtocolResult:
+        """The result of values that ``_run_grid`` has just checked, set slot by slot."""
+        result = object.__new__(cls)
+        _SET_PRE(result, pre)
+        _SET_POST(result, post)
+        _SET_READING(result, reading)
+        _SET_VALIDITY(result, validity)
+        _SET_RESIDUAL(result, residual)
+        return result
+
 
 @dataclass(frozen=True, slots=True)
 class SweepPoint:
@@ -188,9 +203,25 @@ class SweepPoint:
     result: ProtocolResult | None
     error: str | None = None
 
+    @classmethod
+    def _checked(cls, t: float, result: ProtocolResult | None,
+                 error: str | None) -> SweepPoint:
+        """The point of a float time and its result or message, set slot by slot."""
+        point = object.__new__(cls)
+        _SET_T(point, t)
+        _SET_RESULT(point, result)
+        _SET_ERROR(point, error)
+        return point
+
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+_SET_PRE, _SET_POST, _SET_READING, _SET_VALIDITY, _SET_RESIDUAL = (
+    getattr(ProtocolResult, name).__set__ for name in ProtocolResult.__slots__)
+_SET_T, _SET_RESULT, _SET_ERROR = (
+    getattr(SweepPoint, name).__set__ for name in SweepPoint.__slots__)
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -227,8 +258,8 @@ def sweep_interaction_time(config: ProtocolConfig,
     times = [float(t) for t in t_grid]
     points = _run_grid(config, times)
     for i, (t, result) in enumerate(zip(times, points)):
-        points[i] = (SweepPoint(t, None, str(result)) if isinstance(result, Exception)
-                     else SweepPoint(t, result))
+        points[i] = (SweepPoint._checked(t, None, str(result)) if isinstance(result, Exception)
+                     else SweepPoint._checked(t, result, None))
     return points
 
 
@@ -245,9 +276,10 @@ def _run_grid(config: ProtocolConfig,
     :func:`~cavitytherm.hilbert.check_density`, its smaller eigenvalue
     clamped at 0 within ``_EIGENVALUE_SLACK``, and
     :func:`~cavitytherm.analytic.temperature_from_pe`. A result's
-    pre-pulse state is the kernel's; its post-pulse state is built from the
-    floats just checked. The kernel's list of states is filled in place
-    and returned, so a sweep holds one list per grid.
+    pre-pulse state is the kernel's; its post-pulse state, like the result
+    itself, is built by ``_checked`` from the values just checked. The
+    kernel's list of states is filled in place and returned, so a sweep
+    holds one list per grid.
     """
     if not times:
         raise ValueError("t_grid must be nonempty")
@@ -280,7 +312,7 @@ def _run_grid(config: ProtocolConfig,
             results[i] = exc
             continue
         residual = abs(c_post)
-        results[i] = ProtocolResult(
+        results[i] = ProtocolResult._checked(
             rho,
             AtomDensity._checked(p_post, c_post),
             reading,

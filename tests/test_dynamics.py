@@ -481,16 +481,24 @@ class TestGridStep:
                                 2 * chunk_rows(field_step) + 3))
         clean = field_step.evolve_grid(atom, grid)
         finite = "interaction_time must be non-negative and finite, got "
-        bad = {math.nan: finite + "nan", -1.0: finite + "-1.0", math.inf: finite + "inf",
-               1e308: "interaction_time overflows the Rabi angle g sqrt(n_max + 1) t, "
-                      "got 1e+308"}
+        # A message, the atom itself (-0.0 is a zero time) or the evaluated state.
+        expected = {math.nan: finite + "nan", -1.0: finite + "-1.0", math.inf: finite + "inf",
+                    -math.inf: finite + "-inf", -5e-324: finite + "-5e-324",
+                    1e308: "interaction_time overflows the Rabi angle g sqrt(n_max + 1) t, "
+                           "got 1e+308",
+                    -0.0: atom, 5e-324: pointwise_series(field_step, 0.4, 5e-324)}
         for position in (0, len(grid) // 2, len(grid) - 1):
-            for t_bad, message in bad.items():
+            for t_edge, entry in expected.items():
                 times = list(grid)
-                times[position] = t_bad
+                times[position] = t_edge
                 states = field_step.evolve_grid(atom, times)
-                assert isinstance(states[position], ValueError)
-                assert str(states[position]) == message
+                state = states[position]
+                if isinstance(entry, str):
+                    assert isinstance(state, ValueError) and str(state) == entry
+                elif entry is atom:
+                    assert state is atom
+                else:
+                    assert state is not atom and (state.rho11, state.rho01) == entry
                 for i, (state, kept) in enumerate(zip(states, clean)):
                     if i != position:
                         assert (state.rho11, state.rho01) == (kept.rho11, kept.rho01)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -406,6 +407,13 @@ def same_bits(a: complex, b: complex) -> bool:
 EDGE_GRID = [-1.0, 0.0, 0.0, 0.5, 3.0, math.nan, 9.0, 14.0, 20.0, 37.0, 1e308]
 
 
+def rebuilt(obj):
+    """``obj`` built again through the public constructors, nested results included."""
+    if not is_dataclass(obj):
+        return obj
+    return type(obj)(**{f.name: rebuilt(getattr(obj, f.name)) for f in fields(obj)})
+
+
 class TestSweepColumns:
     """Each swept point against the object route and a run at its time, bit for bit."""
 
@@ -451,6 +459,31 @@ class TestSweepColumns:
             alone = protocol.run_protocol(replace(config, interaction_time=point.t))
             assert alone == point.result
             assert repr(alone) == repr(point.result)  # signs of zero included
+
+    def test_points_behave_like_publicly_built_ones(self, config):
+        # A sweep builds its points, results, readings and states through
+        # the classes' unchecked ``_checked`` constructors.
+        points = protocol.sweep_interaction_time(config, EDGE_GRID)
+        assert not all(point.ok for point in points)
+        for point in points:
+            objects = [point]
+            if point.ok:
+                result = point.result
+                objects += [result, result.reading, result.rho_pre_pulse, result.rho_post_pulse]
+                for state in (result.rho_pre_pulse, result.rho_post_pulse):
+                    with pytest.raises(ValueError, match=r"rho11 must lie in \[0, 1\]"):
+                        replace(state, rho11=1.5)
+            for obj in objects:
+                public = rebuilt(obj)
+                assert obj == public and hash(obj) == hash(public)
+                assert repr(obj) == repr(public)
+                loaded = pickle.loads(pickle.dumps(obj))
+                assert type(loaded) is type(obj) and repr(loaded) == repr(obj)
+                if not math.isnan(point.t):  # a NaN time is unequal to its copy
+                    assert loaded == obj
+                name = fields(obj)[0].name
+                with pytest.raises(FrozenInstanceError):
+                    setattr(obj, name, getattr(obj, name))
 
     def test_sweep_is_a_list_of_points(self):
         # Built in the call, so a caller that times the sweep times its points.
