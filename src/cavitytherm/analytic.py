@@ -188,7 +188,7 @@ def pe_after_pulse_analytic(t, n_bar: float,
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TemperatureReading:
     """A population readout converted to an effective temperature.
 
@@ -202,14 +202,12 @@ class TemperatureReading:
     temperature: float
     delta_e: float = 1.0
 
-    @classmethod
-    def _checked(cls, pe: float, temperature: float, delta_e: float) -> TemperatureReading:
-        """The reading :func:`temperature_from_pe` has just checked, set slot by slot."""
-        reading = object.__new__(cls)
-        _SET_PE(reading, pe)
-        _SET_TEMPERATURE(reading, temperature)
-        _SET_DELTA_E(reading, delta_e)
-        return reading
+    # Each slot is set through its descriptor, bound once below: the frozen
+    # dataclass __init__ would go through object.__setattr__ per field.
+    def __init__(self, pe: float, temperature: float, delta_e: float = 1.0) -> None:
+        _SET_PE(self, pe)
+        _SET_TEMPERATURE(self, temperature)
+        _SET_DELTA_E(self, delta_e)
 
     @property
     def inverted(self) -> bool:
@@ -222,8 +220,9 @@ class TemperatureReading:
         return 1.0 / self.temperature
 
 
-_SET_PE, _SET_TEMPERATURE, _SET_DELTA_E = (
-    getattr(TemperatureReading, name).__set__ for name in TemperatureReading.__slots__)
+_SET_PE = TemperatureReading.pe.__set__
+_SET_TEMPERATURE = TemperatureReading.temperature.__set__
+_SET_DELTA_E = TemperatureReading.delta_e.__set__
 
 
 def temperature_from_pe(pe: float, delta_e: float = 1.0) -> TemperatureReading:
@@ -244,7 +243,7 @@ def temperature_from_pe(pe: float, delta_e: float = 1.0) -> TemperatureReading:
         temperature = -0.0
     else:
         temperature = delta_e / math.log((1.0 - pe) / pe)
-    return TemperatureReading._checked(pe, temperature, delta_e)
+    return TemperatureReading(pe, temperature, delta_e)
 
 
 PE_HALF_REVIVAL_VARIANTS = ("paper", "leading_order")

@@ -428,7 +428,8 @@ class AtomDensity:
         )
 
 
-_SET_RHO11, _SET_RHO01 = (getattr(AtomDensity, name).__set__ for name in AtomDensity.__slots__)
+_SET_RHO11 = AtomDensity.rho11.__set__
+_SET_RHO01 = AtomDensity.rho01.__set__
 
 
 def partial_trace_field(state: JointPureState) -> AtomDensity:

@@ -94,9 +94,9 @@ def cooling_axis_azimuth(t: float, phi: float = 0.0,
 
 # A sweep builds five objects per point: the kernel's pre-pulse AtomDensity,
 # the post-pulse one, a TemperatureReading, a ProtocolResult and a SweepPoint.
-# Slots keep each a third smaller and let their ``_checked`` constructors set
-# the fields through the slot descriptors. Flags are not among them: every
-# point shares one of the eight ``_FLAGS`` values below.
+# Slots keep each a third smaller and let them be built by setting each slot
+# through its descriptor, cheaper than the frozen ``object.__setattr__``.
+# Flags are not among them: every point shares one of the eight ``_FLAGS``.
 @dataclass(frozen=True, slots=True)
 class ValidityFlags:
     """Where the interaction time sits relative to the protocol's window."""
@@ -160,7 +160,7 @@ class ProtocolConfig:
         return Timescales(self.prep.n_bar, self.physical.g)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProtocolResult:
     """Outcome of one protocol run.
 
@@ -178,20 +178,17 @@ class ProtocolResult:
     validity: ValidityFlags
     pulse_residual: float
 
-    @classmethod
-    def _checked(cls, pre: AtomDensity, post: AtomDensity, reading: TemperatureReading,
-                 validity: ValidityFlags, residual: float) -> ProtocolResult:
-        """The result of values that ``_run_grid`` has just checked, set slot by slot."""
-        result = object.__new__(cls)
-        _SET_PRE(result, pre)
-        _SET_POST(result, post)
-        _SET_READING(result, reading)
-        _SET_VALIDITY(result, validity)
-        _SET_RESIDUAL(result, residual)
-        return result
+    def __init__(self, rho_pre_pulse: AtomDensity, rho_post_pulse: AtomDensity,
+                 reading: TemperatureReading, validity: ValidityFlags,
+                 pulse_residual: float) -> None:
+        _SET_PRE(self, rho_pre_pulse)
+        _SET_POST(self, rho_post_pulse)
+        _SET_READING(self, reading)
+        _SET_VALIDITY(self, validity)
+        _SET_RESIDUAL(self, pulse_residual)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SweepPoint:
     """One grid point of an interaction-time sweep.
 
@@ -203,25 +200,25 @@ class SweepPoint:
     result: ProtocolResult | None
     error: str | None = None
 
-    @classmethod
-    def _checked(cls, t: float, result: ProtocolResult | None,
-                 error: str | None) -> SweepPoint:
-        """The point of a float time and its result or message, set slot by slot."""
-        point = object.__new__(cls)
-        _SET_T(point, t)
-        _SET_RESULT(point, result)
-        _SET_ERROR(point, error)
-        return point
+    def __init__(self, t: float, result: ProtocolResult | None,
+                 error: str | None = None) -> None:
+        _SET_T(self, t)
+        _SET_RESULT(self, result)
+        _SET_ERROR(self, error)
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
 
-_SET_PRE, _SET_POST, _SET_READING, _SET_VALIDITY, _SET_RESIDUAL = (
-    getattr(ProtocolResult, name).__set__ for name in ProtocolResult.__slots__)
-_SET_T, _SET_RESULT, _SET_ERROR = (
-    getattr(SweepPoint, name).__set__ for name in SweepPoint.__slots__)
+_SET_PRE = ProtocolResult.rho_pre_pulse.__set__
+_SET_POST = ProtocolResult.rho_post_pulse.__set__
+_SET_READING = ProtocolResult.reading.__set__
+_SET_VALIDITY = ProtocolResult.validity.__set__
+_SET_RESIDUAL = ProtocolResult.pulse_residual.__set__
+_SET_T = SweepPoint.t.__set__
+_SET_RESULT = SweepPoint.result.__set__
+_SET_ERROR = SweepPoint.error.__set__
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -258,8 +255,8 @@ def sweep_interaction_time(config: ProtocolConfig,
     times = [float(t) for t in t_grid]
     points = _run_grid(config, times)
     for i, (t, result) in enumerate(zip(times, points)):
-        points[i] = (SweepPoint._checked(t, None, str(result)) if isinstance(result, Exception)
-                     else SweepPoint._checked(t, result, None))
+        points[i] = (SweepPoint(t, None, str(result)) if isinstance(result, Exception)
+                     else SweepPoint(t, result))
     return points
 
 
@@ -276,10 +273,9 @@ def _run_grid(config: ProtocolConfig,
     :func:`~cavitytherm.hilbert.check_density`, its smaller eigenvalue
     clamped at 0 within ``_EIGENVALUE_SLACK``, and
     :func:`~cavitytherm.analytic.temperature_from_pe`. A result's
-    pre-pulse state is the kernel's; its post-pulse state, like the result
-    itself, is built by ``_checked`` from the values just checked. The
-    kernel's list of states is filled in place and returned, so a sweep
-    holds one list per grid.
+    pre-pulse state is the kernel's; its post-pulse state is built from the
+    floats just checked. The kernel's list of states is filled in place
+    and returned, so a sweep holds one list per grid.
     """
     if not times:
         raise ValueError("t_grid must be nonempty")
@@ -312,7 +308,7 @@ def _run_grid(config: ProtocolConfig,
             results[i] = exc
             continue
         residual = abs(c_post)
-        results[i] = ProtocolResult._checked(
+        results[i] = ProtocolResult(
             rho,
             AtomDensity._checked(p_post, c_post),
             reading,

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import pickle
-from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -414,6 +415,24 @@ def rebuilt(obj):
     return type(obj)(**{f.name: rebuilt(getattr(obj, f.name)) for f in fields(obj)})
 
 
+@pytest.mark.parametrize("cls", [analytic.TemperatureReading, protocol.ProtocolResult,
+                                 protocol.SweepPoint])
+def test_each_init_parameter_fills_its_own_field(cls):
+    # The hand-written __init__ takes the fields in order, by name, with
+    # their defaults, and sets each from its own argument.
+    params = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.default) for p in params] == [
+        (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
+        for f in fields(cls)]
+    values = [object() for _ in params]
+    for obj in (cls(*values), cls(**{p.name: v for p, v in zip(params, values)})):
+        assert all(getattr(obj, f.name) is v for f, v in zip(fields(cls), values))
+    required = [p for p in params if p.default is inspect.Parameter.empty]
+    obj = cls(*values[:len(required)])
+    assert [getattr(obj, p.name) for p in params[len(required):]] == [
+        p.default for p in params[len(required):]]
+
+
 class TestSweepColumns:
     """Each swept point against the object route and a run at its time, bit for bit."""
 
@@ -461,8 +480,9 @@ class TestSweepColumns:
             assert repr(alone) == repr(point.result)  # signs of zero included
 
     def test_points_behave_like_publicly_built_ones(self, config):
-        # A sweep builds its points, results, readings and states through
-        # the classes' unchecked ``_checked`` constructors.
+        # A sweep builds its points, results and readings through their
+        # hand-written ``__init__`` and its states through the unchecked
+        # ``AtomDensity._checked``.
         points = protocol.sweep_interaction_time(config, EDGE_GRID)
         assert not all(point.ok for point in points)
         for point in points:
