@@ -23,6 +23,8 @@ Three routes to the same physics, each held to the next:
 * :func:`coherence_from_propagator` is its cross-check: :func:`propagate`
   applies the closed-form block propagator to the joint pure state and
   :func:`~cavitytherm.hilbert.partial_trace_field` traces the field out.
+  :func:`propagate` rotates in chunks of at most ``_CHUNK_ELEMENTS``
+  blocks, so its rotation's temporaries do not grow with the window.
 * :func:`hamiltonian_matrix` builds the dense ``H`` whose matrix
   exponential is the independent oracle for :func:`propagate`.
 
@@ -77,6 +79,12 @@ def hamiltonian_matrix(params: PhysicalParams, n_max: int) -> np.ndarray:
     return h
 
 
+# Elements of one chunk of temporaries, in both routes: blocks of
+# :func:`propagate`, and (times x photon numbers) of the grid step, where a
+# window wider than this is evaluated one time per chunk.
+_CHUNK_ELEMENTS = 2048
+
+
 def propagate(state: JointPureState, t: float) -> JointPureState:
     """Evolve a joint pure state for time ``t`` with the closed-form blocks.
 
@@ -91,14 +99,19 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
     bright coherent field is 0 below about ``50 sqrt(n_bar)`` under its mean
     (45% of the vector at ``n_bar = 1e4``). The head is scanned only when
     its first block is all zero, by ``argmax`` over a ``!= 0`` mask of the
-    real view, without an index array.
+    real view, without an index array. The output comes from ``np.zeros``
+    (``calloc``), not ``np.zeros_like``, which writes every page; nothing
+    writes the skipped head.
 
-    The blocks are rotated on strided views of the amplitudes, ``|e,n>`` at
-    odd and ``|g,n+1>`` at even indices. The phases come from the 64-step
-    tables of :func:`~cavitytherm.hilbert._unit_phases`, one complex
-    ``exp`` per 64 blocks. The tables are anchored at ``n + 1 = 0``, so a
-    block's phase is the same bits whichever blocks are skipped. ``t`` must
-    be finite; a negative ``t`` evolves backwards.
+    The rotated blocks go in chunks of at most ``_CHUNK_ELEMENTS``, on
+    strided views of the amplitudes, ``|e,n>`` at odd and ``|g,n+1>`` at
+    even indices, so the rotation's temporaries do not grow with the
+    window; the head scan's mask, one byte per float, still does. The
+    phases come from the 64-step tables of
+    :func:`~cavitytherm.hilbert._unit_phases`, one complex ``exp`` per 64
+    blocks. The tables are anchored at ``n + 1 = 0``, so a block's phase is
+    the same bits whichever blocks are skipped and wherever a chunk starts.
+    ``t`` must be finite; a negative ``t`` evolves backwards.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -106,7 +119,7 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
     omega, g = params.omega, params.g
     amps = state.amplitudes
     n_max = state.n_max
-    out = np.zeros_like(amps)
+    out = np.zeros(amps.shape, dtype=np.complex128)
 
     out[2 * 0 + LEVEL_G] = amps[2 * 0 + LEVEL_G]
 
@@ -114,13 +127,13 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
     if n_max and not (amps[1] or amps[2]):
         flat = amps.view(np.float64)  # real, imag of each amplitude in turn
         lo = max((int((flat != 0).argmax()) // 2 - 1) // 2, 0)
-    if lo < n_max:
-        k = np.arange(lo + 1.0, n_max + 1.0)  # n + 1
-        phase = _unit_phases(-omega * t, lo + 1, n_max + 1)
-        theta = g * np.sqrt(k) * t
+    for n in range(lo, n_max, _CHUNK_ELEMENTS):
+        end = min(n + _CHUNK_ELEMENTS, n_max)  # this chunk's blocks [n, end)
+        phase = _unit_phases(-omega * t, n + 1, end + 1)
+        theta = g * np.sqrt(np.arange(n + 1.0, end + 1.0)) * t
         c, s = np.cos(theta), np.sin(theta)
-        e_n = slice(2 * lo + LEVEL_E, 2 * n_max, 2)
-        g_next = slice(2 * lo + 2 + LEVEL_G, 2 * n_max + 1, 2)
+        e_n = slice(2 * n + LEVEL_E, 2 * end, 2)
+        g_next = slice(2 * n + 2 + LEVEL_G, 2 * end + 1, 2)
         a_e, a_g = amps[e_n], amps[g_next]
         out[e_n] = phase * (c * a_e - 1j * s * a_g)
         out[g_next] = phase * (-1j * s * a_e + c * a_g)
@@ -135,11 +148,6 @@ def check_interaction_time(t: float) -> None:
     """Reject an interaction time that is negative, infinite or NaN."""
     if not 0 <= t < math.inf:
         raise ValueError(f"interaction_time must be non-negative and finite, got {t}")
-
-
-# Elements of one chunk of the grid step's (times x photon numbers)
-# temporaries. A window wider than this is evaluated one time per chunk.
-_CHUNK_ELEMENTS = 2048
 
 
 class FieldStep:

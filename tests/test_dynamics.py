@@ -99,6 +99,19 @@ def states_with_zero_runs() -> list[tuple[str, hilbert.JointPureState]]:
     for level in (LEVEL_E, LEVEL_G):
         states.append((f"n_bar=36 level {level}", hilbert.coherent_joint_state(level, 6.0j)))
     states.append(("n_bar=1e4", hilbert.coherent_joint_state(LEVEL_G, 100.0 * np.exp(0.4j))))
+    # Rotated ranges wider than one chunk, from a first nonzero block inside
+    # the first chunk (its |g,n+1>), on the edge n = _CHUNK_ELEMENTS (its
+    # |e,n>), and two whole chunks. Each stays far below the 16 384 blocks
+    # past which numpy may elide the temporaries of a whole-range rotation
+    # and reorder its complex product.
+    chunk = dynamics._CHUNK_ELEMENTS
+    n_max = 2 * chunk + 37
+    dim = 2 * (n_max + 1)
+    for name, first in (("mid-chunk", 2 * 1000 + 2), ("on a chunk edge", 2 * chunk + 1),
+                        ("two whole chunks", 2 * 37 + 1)):
+        amps = np.zeros(dim, dtype=complex)
+        amps[first:] = rng.normal(size=dim - first) + 1j * rng.normal(size=dim - first)
+        states.append((f"chunks from {name}", hilbert.JointPureState(amps, params)))
     return states
 
 
@@ -114,7 +127,7 @@ class TestZeroBlockSkip:
 
 
 def test_cross_check_allocation_stays_lean():
-    # One exact cross-check at n_bar = 1e4 peaks at 1.25 MiB of traced
+    # One exact cross-check at n_bar = 1e4 peaks at 0.87 MiB of traced
     # allocation; an extra full-length temporary in the amplitudes, the
     # propagator or the trace (180 KiB complex at n_max = 11 220) breaks it.
     args = (300.0, 100.0, PhysicalParams(), LEVEL_E, 11220)
@@ -125,7 +138,43 @@ def test_cross_check_allocation_stays_lean():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.30 * 2 ** 20
+    assert peak <= 0.91 * 2 ** 20
+
+
+def record_rabi_angles(monkeypatch) -> dict[str, list[np.ndarray]]:
+    """Copies of every ``np.cos`` and ``np.sin`` argument in ``dynamics``, in call order."""
+    angles = {"cos": [], "sin": []}
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cos(self, x):
+            angles["cos"].append(np.array(x))
+            return np.cos(x)
+
+        def sin(self, x):
+            angles["sin"].append(np.array(x))
+            return np.sin(x)
+
+    monkeypatch.setattr(dynamics, "np", Recording())
+    return angles
+
+
+@pytest.mark.parametrize("n_bar", [1e4, 1e5])
+def test_propagate_rotates_each_block_once_in_chunks(monkeypatch, n_bar):
+    state = hilbert.coherent_joint_state(LEVEL_E, math.sqrt(n_bar))
+    params, n_max, t = state.params, state.n_max, 300.0
+    lo = int(np.flatnonzero(state.amplitudes[1:])[0]) // 2  # first nonzero block
+    assert n_max - lo > 2 * dynamics._CHUNK_ELEMENTS
+    angles = record_rabi_angles(monkeypatch)
+    dynamics.propagate(state, t)
+    rotated = params.g * np.sqrt(np.arange(lo + 1.0, n_max + 1.0)) * t
+    for name, chunks in angles.items():
+        sizes = [chunk.size for chunk in chunks]
+        assert max(sizes) <= dynamics._CHUNK_ELEMENTS, name
+        assert sum(sizes) == n_max - lo, name
+        assert np.array_equal(np.concatenate(chunks), rotated), name
 
 
 class TestVacuumRabi:
@@ -575,22 +624,9 @@ class TestGridStep:
     @pytest.mark.parametrize("length", [1, 7, 40, 200])
     def test_no_temporary_exceeds_a_chunk(self, monkeypatch, n_bar, length):
         field_step = dynamics.FieldStep(hilbert.CoherentPrep(math.sqrt(n_bar)))
-        sizes = []
-
-        class Recording:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def cos(self, x):
-                sizes.append(x.size)
-                return np.cos(x)
-
-            def sin(self, x):
-                sizes.append(x.size)
-                return np.sin(x)
-
-        monkeypatch.setattr(dynamics, "np", Recording())
+        angles = record_rabi_angles(monkeypatch)
         field_step.evolve_grid(hilbert.AtomDensity(0.3), np.linspace(1.0, 30.0, length))
+        sizes = [x.size for xs in angles.values() for x in xs]
         assert sizes
         assert max(sizes) <= max(dynamics._CHUNK_ELEMENTS, field_step.root_k.size)
 
