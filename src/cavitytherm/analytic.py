@@ -31,6 +31,11 @@ LEVEL_E = 1
 PULSE_MODES = ("explicit_unitary", "diagonalize")
 
 
+def _check_n_bar(n_bar: float) -> None:
+    if not 0 <= n_bar < math.inf:  # negated so that NaN fails too
+        raise ValueError(f"n_bar must be non-negative and finite, got {n_bar}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Physical constants of the resonant atom-field system.
@@ -81,10 +86,11 @@ class Timescales:
     g: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.n_bar < math.inf:
-            raise ValueError(f"n_bar must be positive, got {self.n_bar}")
-        if not 0 < self.g < math.inf:
-            raise ValueError(f"g must be positive, got {self.g}")
+        for name, value in (("n_bar", self.n_bar), ("g", self.g)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def tau_collapse(self) -> float:
@@ -127,8 +133,7 @@ def rho11_analytic(t, n_bar: float, params: PhysicalParams | None = None,
     params = params or PhysicalParams()
     if initial_level not in (LEVEL_G, LEVEL_E):
         raise ValueError(f"initial_level must be 0 (g) or 1 (e), got {initial_level}")
-    if not 0 <= n_bar < math.inf:
-        raise ValueError(f"n_bar must be non-negative, got {n_bar}")
+    _check_n_bar(n_bar)
     t = np.asarray(t, dtype=float)
     if initial_level == LEVEL_E:
         sign, ladder_mean = 1.0, n_bar + 1.0

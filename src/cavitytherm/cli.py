@@ -40,14 +40,14 @@ class ConfigError(ValueError):
 # 1 or 0), each with the suffix of its coherence columns.
 _INITIAL_LEVELS = {"e": ((1.0, ""),), "g": ((0.0, ""),),
                    "both": ((1.0, "_e"), (0.0, "_g"))}
-_FORMATS = ("csv", "json")
 
 # Every setting, in ``--help`` order: the type a config file or flag value
 # is read as, then the flag's argparse keywords (``None``: config file only).
-# Flags win over the config file. Bounds are checked in ``RunSpec``.
+# Flags win over the config file. Bounds, and a config file's values against
+# the ``choices``, are checked in ``RunSpec``.
 _SETTINGS: dict[str, tuple[type, dict | None]] = {
     "out": (str, {"help": "output path (default stdout)"}),
-    "format": (str, {"choices": _FORMATS}),
+    "format": (str, {"choices": ("csv", "json")}),
     "n_bar": (float, {"help": "mean photon number (fig-tmin/fig-tmax: single-point grid)"}),
     "g": (float, {"help": "atom-field coupling"}),
     "delta_e": (float, {"help": "atomic splitting (= field frequency)"}),
@@ -93,7 +93,12 @@ def parse_config_file(path: str) -> dict:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Fully resolved invocation: subcommand plus effective settings."""
+    """Fully resolved invocation: subcommand plus effective settings.
+
+    Construction checks each setting's bounds, and holds each choice-valued
+    setting to the ``choices`` of its flag in ``_SETTINGS``: a config file's
+    values never reach argparse.
+    """
 
     command: str
     n_bar: float = 36.0
@@ -132,17 +137,10 @@ class RunSpec:
             raise ConfigError(f"cutoff must be positive, got {self.cutoff}")
         if self.grid_points is not None and self.grid_points < 1:
             raise ConfigError(f"grid_points must be >= 1, got {self.grid_points}")
-        if self.initial_level not in _INITIAL_LEVELS:
-            raise ConfigError(
-                f"initial_level must be one of {tuple(_INITIAL_LEVELS)}, got "
-                f"{self.initial_level!r}"
-            )
-        if self.pulse_mode not in PULSE_MODES:
-            raise ConfigError(
-                f"pulse_mode must be one of {PULSE_MODES}, got {self.pulse_mode!r}"
-            )
-        if self.format not in _FORMATS:
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        for key, (_, flag) in _SETTINGS.items():
+            choices, value = (flag or {}).get("choices"), getattr(self, key)
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
 
     @property
     def params(self) -> PhysicalParams:

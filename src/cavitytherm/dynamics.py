@@ -49,7 +49,6 @@ from .hilbert import (
     JointPureState,
     PhysicalParams,
     _unit_phases,
-    check_density,
     check_norm_deficit,
     coherent_amplitudes,
     default_cutoff,
@@ -201,7 +200,8 @@ class FieldStep:
         float and its ``rho01`` a complex, or the ``ValueError`` that
         rejects the time or its state: a negative, infinite or NaN time,
         one whose largest Rabi angle ``g sqrt(n_max + 1) t`` or whose
-        carrier phase ``omega t`` overflows, or one whose state fails
+        carrier phase ``omega t`` overflows, or one whose state
+        ``AtomDensity._checked`` rejects through
         :func:`~cavitytherm.hilbert.check_density`. The other entries do
         not depend on a rejected one. A zero time is the identity and its
         entry is ``atom`` itself: the series leaves ~1e-16 dust in rho11,
@@ -235,11 +235,9 @@ class FieldStep:
             carrier = cmath.exp(1j * (self.omega * times[i] - self.phase))
             coherence = 1j * carrier * env
             try:
-                check_density(pop, coherence)
+                states[i] = AtomDensity._checked(pop, coherence)
             except ValueError as exc:
                 states[i] = exc
-            else:
-                states[i] = AtomDensity._checked(pop, coherence)
         return states
 
     def _series(self, p: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

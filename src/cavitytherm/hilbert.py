@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import LEVEL_E, LEVEL_G, PhysicalParams
+from .analytic import LEVEL_E, LEVEL_G, PhysicalParams, _check_n_bar
 
 DEFAULT_TAIL_TOLERANCE = 1e-12
 
@@ -43,11 +43,6 @@ _POSITIVITY_SLACK = 1e-12
 
 class TruncationError(ValueError):
     """Raised when a Fock window leaves more head or tail mass than tolerated."""
-
-
-def _check_n_bar(n_bar: float) -> None:
-    if not 0 <= n_bar < math.inf:  # negated so that NaN fails too
-        raise ValueError(f"n_bar must be non-negative and finite, got {n_bar}")
 
 
 def default_cutoff(n_bar: float) -> int:
@@ -360,8 +355,8 @@ def coherent_joint_state(level: int, alpha: complex,
 def check_density(rho11: float, rho01: complex) -> None:
     """Reject ``(rho11, rho01)`` unless it is a density matrix to within rounding.
 
-    The checks of :class:`AtomDensity`, for callers that keep a state as a
-    float and a complex: ``rho11`` in ``[0, 1]`` and a determinant
+    The check that :class:`AtomDensity` and ``AtomDensity._checked`` both
+    make: ``rho11`` in ``[0, 1]`` and a determinant
     ``(1 - rho11) rho11 - |rho01|^2`` of at least ``-1e-12``. NaN fails both.
     """
     if not -_POSITIVITY_SLACK <= rho11 <= 1.0 + _POSITIVITY_SLACK:
@@ -397,12 +392,13 @@ class AtomDensity:
 
     @classmethod
     def _checked(cls, rho11: float, rho01: complex) -> AtomDensity:
-        """The state of a float and a complex that :func:`check_density` has passed.
+        """The state of a Python float and a complex, held to :func:`check_density`.
 
-        Skips the conversions and the checks of construction, which the
-        caller has already made on these very values, and sets the slots
-        through their descriptors rather than the frozen ``__setattr__``.
+        Makes the same check as construction but skips its conversions,
+        which these types do not need, and sets the slots through their
+        descriptors rather than the frozen ``__setattr__``.
         """
+        check_density(rho11, rho01)
         rho = object.__new__(cls)
         _SET_RHO11(rho, rho11)
         _SET_RHO01(rho, rho01)

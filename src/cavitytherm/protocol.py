@@ -35,9 +35,9 @@ from .analytic import (
 )
 from .dynamics import FieldStep, check_interaction_time
 from .hilbert import (
+    _POSITIVITY_SLACK,
     AtomDensity,
     CoherentPrep,
-    check_density,
     density_eigenvalues,
     thermal_atom,
     trace_distance,
@@ -46,8 +46,6 @@ from .hilbert import (
 # Largest off-diagonal magnitude the explicit pulse may leave before the
 # result is flagged.
 PULSE_RESIDUAL_TOLERANCE = 0.05
-
-_EIGENVALUE_SLACK = 1e-12
 
 
 def pi_half_pulse(rho: AtomDensity, axis_angle: float) -> AtomDensity:
@@ -269,13 +267,13 @@ def _run_grid(config: ProtocolConfig,
     :meth:`~cavitytherm.dynamics.FieldStep.evolve_grid` call. Each state
     is then pulsed and read out in scalar ``math`` arithmetic on its
     floats: the pulse of :func:`pi_half_pulse` or the smaller eigenvalue
-    of the pre-pulse state, the post-pulse state held to
-    :func:`~cavitytherm.hilbert.check_density`, its smaller eigenvalue
-    clamped at 0 within ``_EIGENVALUE_SLACK``, and
+    of the pre-pulse state, the post-pulse state built and checked by
+    ``AtomDensity._checked``, its smaller eigenvalue clamped at 0 within
+    the same ``_POSITIVITY_SLACK``, and
     :func:`~cavitytherm.analytic.temperature_from_pe`. A result's
-    pre-pulse state is the kernel's; its post-pulse state is built from the
-    floats just checked. The kernel's list of states is filled in place
-    and returned, so a sweep holds one list per grid.
+    pre-pulse state is the kernel's and its post-pulse state is that
+    checked one. The kernel's list of states is filled in place and
+    returned, so a sweep holds one list per grid.
     """
     if not times:
         raise ValueError("t_grid must be nonempty")
@@ -297,10 +295,10 @@ def _run_grid(config: ProtocolConfig,
                 p_post, c_post = _quarter_turn(p, c, cooling_axis_azimuth(t, phi, physical))
             else:
                 p_post, c_post = density_eigenvalues(p, c)[0], 0j
-            check_density(p_post, c_post)
+            rho_post = AtomDensity._checked(p_post, c_post)
             pe = density_eigenvalues(p_post, c_post)[0]
             if pe < 0.0:
-                if pe < -_EIGENVALUE_SLACK:
+                if pe < -_POSITIVITY_SLACK:
                     raise ValueError(f"post-pulse state has negative eigenvalue {pe}")
                 pe = 0.0
             reading = temperature_from_pe(pe, delta_e)
@@ -310,7 +308,7 @@ def _run_grid(config: ProtocolConfig,
         residual = abs(c_post)
         results[i] = ProtocolResult(
             rho,
-            AtomDensity._checked(p_post, c_post),
+            rho_post,
             reading,
             _FLAGS[t >= collapse_complete, t <= half_revival,
                    residual <= PULSE_RESIDUAL_TOLERANCE],

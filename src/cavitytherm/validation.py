@@ -90,6 +90,21 @@ def _default_config(t: float = 0.0, **overrides) -> protocol.ProtocolConfig:
     return protocol.ProtocolConfig(**kwargs)
 
 
+def _entries(grid: list) -> list:
+    """Return ``grid`` if no entry failed, else raise the first failure's own error.
+
+    A kernel entry that is a ``ValueError`` is raised as it is; a failed
+    :class:`~cavitytherm.protocol.SweepPoint` raises its ``error``,
+    prefixed with its ``t``.
+    """
+    for entry in grid:
+        if isinstance(entry, ValueError):
+            raise entry
+        if isinstance(entry, protocol.SweepPoint) and not entry.ok:
+            raise ValueError(f"t={entry.t}: {entry.error}")
+    return grid
+
+
 def _excited_joint_state(alpha: complex = DEFAULT_ALPHA) -> hilbert.JointPureState:
     return hilbert.coherent_joint_state(hilbert.LEVEL_E, alpha)
 
@@ -114,9 +129,7 @@ def evolved_states_are_densities() -> tuple[bool, str]:
     atom = hilbert.thermal_atom(1.0)
     worst_det = math.inf
     grid = np.linspace(0.0, _SCALES.tau_revival, 17)
-    for t, rho in zip(grid, field_step.evolve_grid(atom, grid)):
-        if isinstance(rho, ValueError):
-            raise rho
+    for t, rho in zip(grid, _entries(field_step.evolve_grid(atom, grid))):
         worst_det = min(worst_det, rho.determinant)
         if rho.eigenvalues()[0] < -1e-12:
             return False, f"negative eigenvalue at t={t:.3f}"
@@ -273,8 +286,8 @@ def pulse_preserves_eigenvalues() -> tuple[bool, str]:
 def reading_pe_below_half() -> tuple[bool, str]:
     """The protocol reading never reports more than half excitation."""
     grid = np.linspace(0.0, _SCALES.half_revival, 21)
-    worst = max(p.result.reading.pe for m in protocol.PULSE_MODES
-                for p in protocol.sweep_interaction_time(_default_config(pulse_mode=m), grid))
+    worst = max(p.result.reading.pe for m in protocol.PULSE_MODES for p in _entries(
+        protocol.sweep_interaction_time(_default_config(pulse_mode=m), grid)))
     return worst <= 0.5 + 1e-12, f"max reading.pe = {worst:.15f} (bound 0.5 + 1e-12)"
 
 
@@ -296,8 +309,8 @@ def pipeline_determinism() -> tuple[bool, str]:
 @_check()
 def reading_matches_analytic_floor() -> tuple[bool, str]:
     """Inside the window the reading tracks the closed-form pulse floor."""
-    sweep = protocol.sweep_interaction_time(
-        _default_config(), np.linspace(_SCALES.collapse_complete, _SCALES.half_revival, 25))
+    sweep = _entries(protocol.sweep_interaction_time(
+        _default_config(), np.linspace(_SCALES.collapse_complete, _SCALES.half_revival, 25)))
     worst = max(abs(p.result.reading.pe - analytic.pe_after_pulse_analytic(p.t, DEFAULT_N_BAR))
                 for p in sweep)
     return worst <= 0.02, f"max |reading.pe - closed form| = {worst:.4f} (bound 0.02)"
@@ -312,7 +325,8 @@ def closed_form_coherence_accuracy() -> tuple[bool, str]:
     field_step = dynamics.FieldStep(hilbert.CoherentPrep(DEFAULT_ALPHA))
     worst = 0.0
     for pe in (0.0, 1.0):  # the atom starts in g, then in e
-        for t, rho in zip(times, field_step.evolve_grid(hilbert.AtomDensity(pe), times)):
+        states = _entries(field_step.evolve_grid(hilbert.AtomDensity(pe), times))
+        for t, rho in zip(times, states):
             gap = rho.rho01 - analytic.rho01_analytic(float(t), DEFAULT_N_BAR)
             worst = max(worst, abs(gap.real), abs(gap.imag))
     elapsed = time.perf_counter() - started
@@ -352,7 +366,7 @@ def population_settles_to_half() -> tuple[bool, str]:
     field_step = dynamics.FieldStep(hilbert.CoherentPrep(DEFAULT_ALPHA))
     times = np.linspace(_SCALES.collapse_complete, 0.8 * _SCALES.tau_revival, 50)
     worst = max(abs(rho.rho11 - 0.5) for pe in (0.0, 1.0)  # the atom starts in g, then in e
-                for rho in field_step.evolve_grid(hilbert.AtomDensity(pe), times))
+                for rho in _entries(field_step.evolve_grid(hilbert.AtomDensity(pe), times)))
     return worst <= 0.02, f"max |rho11 - 1/2| = {worst:.4f} (bound 0.02)"
 
 
@@ -521,12 +535,12 @@ def sweep_monotone_after_collapse() -> tuple[bool, str]:
     """
     root = analytic.collapse_condition_time(DEFAULT_N_BAR).root
     config = _default_config()
-    pes = [p.result.reading.pe for p in protocol.sweep_interaction_time(
-        config, np.linspace(root, _SCALES.half_revival, 60))]
+    pes = [p.result.reading.pe for p in _entries(protocol.sweep_interaction_time(
+        config, np.linspace(root, _SCALES.half_revival, 60)))]
     worst_rise = max(
         (b - a for a, b in zip(pes, pes[1:])), default=0.0)
-    full_pes = [p.result.reading.pe for p in protocol.sweep_interaction_time(
-        config, np.linspace(0.0, _SCALES.half_revival, 200))]
+    full_pes = [p.result.reading.pe for p in _entries(protocol.sweep_interaction_time(
+        config, np.linspace(0.0, _SCALES.half_revival, 200)))]
     end_gap = full_pes[-1] - min(full_pes)
     ok = worst_rise <= 1e-3 and end_gap <= 1e-3
     return ok, (

@@ -47,6 +47,22 @@ def test_non_finite_inputs_are_rejected_by_name(field, call, value):
         call(value)
 
 
+@pytest.mark.parametrize("field, call", [
+    ("n_bar", lambda x: Timescales(x)),
+    ("g", lambda x: Timescales(36.0, g=x)),
+    ("n_bar", lambda x: analytic.rho01_analytic(5.0, x)),
+    ("n_bar", lambda x: analytic.pe_half_revival(x)),
+    ("n_bar", lambda x: analytic.t_min(x)),
+    ("n_bar", lambda x: analytic.collapse_condition_time(x)),
+    ("n_bar", lambda x: analytic.t_max(x, variant="closed_form")),
+], ids=["Timescales.n_bar", "Timescales.g", "rho01_analytic", "pe_half_revival", "t_min",
+        "collapse_condition_time", "t_max.closed_form"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_timescale_inputs_are_named_non_finite(field, call, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        call(value)
+
+
 class TestTimescales:
     def test_values(self):
         scales = Timescales(n_bar=36.0, g=2.0)

@@ -170,6 +170,16 @@ class TestConfigFile:
         assert err == ("error: pulse_mode must be one of ('explicit_unitary', "
                        "'diagonalize'), got 'bogus'\n")
 
+    @pytest.mark.parametrize("key", ["format", "initial_level", "pulse_mode"])
+    def test_bad_choice_in_config_is_a_config_error(self, capsys, tmp_path, key):
+        cfg = tmp_path / "choice.cfg"
+        cfg.write_text(f"{key} = bogus\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        choices = cli._SETTINGS[key][1]["choices"]
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {key} must be one of {choices}, got 'bogus'\n"
+
     def test_conflicting_initial_state(self, capsys, tmp_path):
         cfg = tmp_path / "beta.cfg"
         cfg.write_text("initial_beta = 1.0\n", encoding="utf-8")

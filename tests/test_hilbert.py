@@ -428,6 +428,14 @@ class TestAtomDensity:
         with pytest.raises(ValueError, match="positive semi-definite"):
             hilbert.AtomDensity(0.5, rho01)
 
+    @pytest.mark.parametrize("rho11, rho01", [(1.5, 0j), (0.5, 0.6)])
+    def test_checked_constructor_makes_check_densitys_check(self, rho11, rho01):
+        with pytest.raises(ValueError) as expected:
+            hilbert.check_density(rho11, rho01)
+        with pytest.raises(ValueError) as raised:
+            hilbert.AtomDensity._checked(rho11, rho01)
+        assert str(raised.value) == str(expected.value)
+
     def test_eigenvalues(self):
         rho = hilbert.AtomDensity(rho11=0.5, rho01=0.3j)
         lo, hi = rho.eigenvalues()

@@ -481,8 +481,8 @@ class TestSweepColumns:
 
     def test_points_behave_like_publicly_built_ones(self, config):
         # A sweep builds its points, results and readings through their
-        # hand-written ``__init__`` and its states through the unchecked
-        # ``AtomDensity._checked``.
+        # hand-written ``__init__`` and its states through
+        # ``AtomDensity._checked``, which skips construction's conversions.
         points = protocol.sweep_interaction_time(config, EDGE_GRID)
         assert not all(point.ok for point in points)
         for point in points:

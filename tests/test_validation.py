@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from cavitytherm import dynamics, hilbert, validation
+from cavitytherm import dynamics, hilbert, protocol, validation
 
 
 def test_verdicts_are_python_bools():
@@ -50,3 +50,35 @@ def test_coherence_accuracy_prints_its_seconds_only_over_budget(monkeypatch):
     passed, detail = validation.closed_form_coherence_accuracy()
     assert not passed
     assert detail.endswith("2.50 s (budget 2 s)")
+
+
+# The checks that read a grid of kernel states, then those that read a sweep.
+KERNEL_GRID_CHECKS = ("evolved_states_are_densities", "closed_form_coherence_accuracy",
+                      "population_settles_to_half")
+SWEEP_CHECKS = ("reading_pe_below_half", "reading_matches_analytic_floor",
+                "sweep_monotone_after_collapse")
+
+
+@pytest.mark.parametrize("fault", ["kernel_state", "readout"])
+def test_a_failed_grid_entry_is_reported_as_its_own_error(monkeypatch, fault):
+    if fault == "kernel_state":
+        series = dynamics.FieldStep._series
+
+        def planted(self, p, run_times):
+            rho11, envelope = series(self, p, run_times)
+            rho11[-1] = 1.5
+            return rho11, envelope
+
+        monkeypatch.setattr(dynamics.FieldStep, "_series", planted)
+        message, names = "rho11 must lie in [0, 1], got 1.5", KERNEL_GRID_CHECKS + SWEEP_CHECKS
+    else:
+        def planted(pe, delta_e=1.0):
+            raise ValueError("planted readout fault")
+
+        monkeypatch.setattr(protocol, "temperature_from_pe", planted)
+        message, names = "planted readout fault", SWEEP_CHECKS
+    checks = {c.name: c for c in validation.run_all_checks(include_slow=False).checks}
+    for name in names:
+        assert not checks[name].passed
+        assert checks[name].detail.startswith("raised ValueError: "), checks[name].detail
+        assert checks[name].detail.endswith(message), checks[name].detail
