@@ -16,7 +16,8 @@ Three routes to the same physics, each held to the next:
   field, evaluated over real cos/sin vectors. Its field half,
   :class:`FieldStep`, is built once per field. Its one grid entry,
   :meth:`FieldStep.evolve_grid`, evaluates a whole grid of times in chunks
-  of at most ``_CHUNK_ELEMENTS`` angles and checks each state;
+  of at most ``_CHUNK_ELEMENTS`` angles, in three buffers reused by every
+  chunk, and checks each state;
   :meth:`FieldStep.evolve` is its one-point case. Each time's dot products
   (one ``np.vecdot`` per chunk) and carrier are its own, so a state has
   the same bits on any grid.
@@ -78,9 +79,10 @@ def hamiltonian_matrix(params: PhysicalParams, n_max: int) -> np.ndarray:
     return h
 
 
-# Elements of one chunk of temporaries, in both routes: blocks of
-# :func:`propagate`, and (times x photon numbers) of the grid step, where a
-# window wider than this is evaluated one time per chunk.
+# Elements of one chunk, in both routes: blocks of :func:`propagate`, and
+# (times x photon numbers) of the grid step's three chunk buffers, allocated
+# once per call and reused by every chunk; a window wider than this is
+# evaluated one time per chunk.
 _CHUNK_ELEMENTS = 2048
 
 
@@ -163,10 +165,12 @@ class FieldStep:
     :meth:`evolve_grid` runs the series over a grid of times and checks
     each state; :meth:`evolve` is its one-point case. The grid step
     evaluates the elementwise work (the Rabi angles, their cos and sin, the
-    squares and the envelope products) for a chunk of times at once, at
-    most ``_CHUNK_ELEMENTS`` elements per temporary and never less than one
-    time, and its three reductions as one ``np.vecdot`` each over the
-    chunk's rows. For float64 that is the unit-stride BLAS ``ddot`` that
+    squares and the envelope products) for a chunk of times at once, in
+    three buffers of at most ``_CHUNK_ELEMENTS`` elements (never less than
+    one time) that are allocated once per call and reused by every chunk,
+    so a sweep's traced peak is its own result. Its three reductions are
+    one ``np.vecdot`` each over the chunk's rows. For float64 that is the
+    unit-stride BLAS ``ddot`` that
     ``np.dot`` runs on a row alone, and each time keeps its own scalar
     carrier, so a state is the same bits whatever the grid and its chunk.
     """
@@ -245,27 +249,45 @@ class FieldStep:
 
         The times must be positive, with finite Rabi angles. A chunk of
         ``_CHUNK_ELEMENTS // K`` times (at least one) is one C-contiguous
-        ``(rows, K)`` block of angles, ``K = root_k.size``, so every
-        elementwise step is one contiguous pass; the envelope's last two
-        columns reach into the next row and are never read. Each reduction
-        is one ``np.vecdot`` over row views of the chunk.
+        ``(rows, K)`` block, ``K = root_k.size``, so every elementwise step
+        is one contiguous pass. Three such buffers are allocated once per
+        call and every chunk is evaluated in them with ``out=`` ufuncs: the
+        angles, then their sines written over them; the cosines, a buffer
+        that first holds the rows of ``sqrt(k)`` so that the angles'
+        multiply has no broadcast operand (numpy would copy one into a
+        chunk-size iterator buffer); and a scratch buffer that takes
+        ``C^2``, then ``S^2``, then ``p C_{n+2}`` before ``(1 - p) C`` is
+        formed over the cosines. Each elementwise step is the same IEEE
+        operation on the same operands as with a fresh array per step, so
+        no bit depends on the buffers. The envelope's last two columns
+        reach into the next row and are never read. Each reduction is one
+        ``np.vecdot`` over row views of the chunk.
         """
-        w, pairs = self.weights, self.pairs
+        w, pairs, root_k = self.weights, self.pairs, self.root_k
         rho11, envelope = np.empty(times.size), np.empty(times.size)
         g_t = self.g * times
-        rows = max(1, _CHUNK_ELEMENTS // self.root_k.size)
+        rows = max(1, min(times.size, _CHUNK_ELEMENTS // root_k.size))
+        buffers = [np.empty((rows, root_k.size)) for _ in range(3)]
         for lo in range(0, times.size, rows):
-            theta = g_t[lo:lo + rows, None] * self.root_k
-            c = np.cos(theta)
+            s, c, scratch = (b[:times.size - lo] for b in buffers)
+            np.copyto(c, root_k)
+            np.copyto(s, g_t[lo:lo + rows, None])
+            np.multiply(s, c, out=s)  # the angles
+            np.cos(s, out=c)
             c[:, -1] = 1.0
-            s = np.sin(theta)
-            mix = np.multiply(1.0 - p, c, out=theta)  # the angles are not read again
-            flat = mix.reshape(-1)[:-2]
-            flat -= p * c.reshape(-1)[2:]
-            flat *= s.reshape(-1)[1:-1]
-            envelope[lo:lo + rows] = np.vecdot(mix[:, :-2], pairs)
-            rho11[lo:lo + rows] = (p * np.vecdot((c ** 2)[:, 1:], w)
-                                   + (1.0 - p) * np.vecdot((s ** 2)[:, :-1], w))
+            np.sin(s, out=s)
+            np.square(c, out=scratch)
+            pop_e = np.vecdot(scratch[:, 1:], w)
+            np.square(s, out=scratch)
+            pop_g = np.vecdot(scratch[:, :-1], w)
+            rho11[lo:lo + rows] = p * pop_e + (1.0 - p) * pop_g
+            later = scratch.reshape(-1)[:-2]
+            np.multiply(p, c.reshape(-1)[2:], out=later)  # p C_{n+2}
+            np.multiply(1.0 - p, c, out=c)  # the cosines are not read again
+            mix = c.reshape(-1)[:-2]
+            mix -= later
+            mix *= s.reshape(-1)[1:-1]
+            envelope[lo:lo + rows] = np.vecdot(c[:, :-2], pairs)
         return rho11, envelope
 
 

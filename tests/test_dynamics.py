@@ -149,13 +149,13 @@ def record_rabi_angles(monkeypatch) -> dict[str, list[np.ndarray]]:
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def cos(self, x):
+        def cos(self, x, **kwargs):
             angles["cos"].append(np.array(x))
-            return np.cos(x)
+            return np.cos(x, **kwargs)
 
-        def sin(self, x):
+        def sin(self, x, **kwargs):
             angles["sin"].append(np.array(x))
-            return np.sin(x)
+            return np.sin(x, **kwargs)
 
     monkeypatch.setattr(dynamics, "np", Recording())
     return angles
@@ -644,6 +644,28 @@ class TestGridStep:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20
+
+    @pytest.mark.parametrize("n_bar", [2.0, 36.0, 1e3, 1e4])
+    @pytest.mark.parametrize("edge", ["one", "chunk", "chunk+1", "2 chunks+1", "200"])
+    def test_series_peak_is_three_chunk_buffers(self, n_bar, edge):
+        # The angles/sines, the cosines and one scratch buffer, reused by
+        # every chunk; a fourth chunk array allows one ufunc iterator buffer.
+        # Temporaries that outlive their chunk, or a fresh array per step,
+        # break it.
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(math.sqrt(n_bar)))
+        rows = chunk_rows(field_step)
+        length = {"one": 1, "chunk": rows, "chunk+1": rows + 1,
+                  "2 chunks+1": 2 * rows + 1, "200": 200}[edge]
+        times = np.linspace(1.0, 30.0, length)
+        field_step._series(0.3, times)  # warm-up
+        tracemalloc.start()
+        try:
+            field_step._series(0.3, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = min(rows, length) * field_step.root_k.nbytes
+        assert peak <= 4 * chunk + 3 * times.nbytes + 4096
 
 
 class TestKernelProperties:

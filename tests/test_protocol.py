@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import math
 import pickle
+import tracemalloc
 from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
@@ -369,6 +370,26 @@ class TestSweep:
         points = protocol.sweep_interaction_time(make_config(0.0), grid)
         assert all(p.ok for p in points)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("pulse_mode", protocol.PULSE_MODES)
+    def test_dim_sweep_peak_is_its_own_result(self, pulse_mode):
+        # The kernel's chunk buffers are freed before the result grows, so
+        # the traced peak is the result the sweep returns plus its copy of
+        # the grid (a 1.6 KB list of 200 floats) and a few objects. Chunk
+        # temporaries alive beside the result would add 19-26 KB; the bound,
+        # half of one 15.6 KB chunk array, leaves room for allocations that
+        # differ between Python and numpy versions.
+        config = make_config(0.0, pulse_mode=pulse_mode)
+        grid = np.linspace(0.0, Timescales(N_BAR).half_revival, 200).tolist()
+        protocol.sweep_interaction_time(config, grid)  # warm-up
+        tracemalloc.start()
+        try:
+            points = protocol.sweep_interaction_time(config, grid)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 200 and all(point.ok for point in points)
+        assert peak - current <= 8 * 1024
 
     def test_floor_is_reached_at_the_end_of_the_window(self):
         scales = Timescales(N_BAR)
