@@ -204,8 +204,8 @@ class FieldStep:
         float and its ``rho01`` a complex, or the ``ValueError`` that
         rejects the time or its state: a negative, infinite or NaN time,
         one whose largest Rabi angle ``g sqrt(n_max + 1) t`` or whose
-        carrier phase ``omega t`` overflows, or one whose state
-        ``AtomDensity._checked`` rejects through
+        carrier phase ``omega t`` overflows, or one whose state the
+        :class:`~cavitytherm.hilbert.AtomDensity` constructor rejects through
         :func:`~cavitytherm.hilbert.check_density`. The other entries do
         not depend on a rejected one. A zero time is the identity and its
         entry is ``atom`` itself: the series leaves ~1e-16 dust in rho11,
@@ -239,7 +239,7 @@ class FieldStep:
             carrier = cmath.exp(1j * (self.omega * times[i] - self.phase))
             coherence = 1j * carrier * env
             try:
-                states[i] = AtomDensity._checked(pop, coherence)
+                states[i] = AtomDensity(pop, coherence)
             except ValueError as exc:
                 states[i] = exc
         return states

@@ -104,11 +104,13 @@ def _log_poisson_weight(n: np.ndarray, n_bar: float) -> np.ndarray:
 def poisson_weight(n, n_bar: float):
     """Poisson weight ``w(n) = exp(-n_bar) n_bar**n / n!`` in log space.
 
-    Accepts scalar or array ``n`` (non-negative integers); returns a float or
-    float array.
+    Accepts scalar or array ``n`` (non-negative integers; a negative one
+    raises ``ValueError``); returns a float or float array.
     """
     _check_n_bar(n_bar)
     n_arr = np.asarray(n, dtype=float)
+    if (n_arr < 0).any():
+        raise ValueError(f"photon number n must be non-negative, got {n_arr.min()}")
     if n_bar == 0.0:
         out = np.where(n_arr == 0, 1.0, 0.0)
         return float(out) if np.isscalar(n) else out
@@ -117,19 +119,19 @@ def poisson_weight(n, n_bar: float):
 
 
 def coherent_mass(n_bar: float, lo: int, hi: float = math.inf) -> float:
-    """Poisson probability mass of ``lo <= n <= hi`` (``lo >= 0``) for mean ``n_bar``.
+    """Poisson probability mass of ``lo <= n <= hi`` for mean ``n_bar``.
 
     Sums the weights of :func:`_log_poisson_weight` over the range, clipped
-    to within ``10 sqrt(n_bar) + 40`` of the mean or of the range's near
-    edge, which leaves out less than ``1e-20`` of the mass. An empty range
-    has mass 0. The mass above ``n_max`` is the norm deficit of a coherent
-    amplitude vector truncated there.
+    at ``n = 0`` and to within ``10 sqrt(n_bar) + 40`` of the mean or of the
+    range's near edge, which leaves out less than ``1e-20`` of the mass. An
+    empty range has mass 0. The mass above ``n_max`` is the norm deficit of
+    a coherent amplitude vector truncated there.
     """
     _check_n_bar(n_bar)
     if n_bar == 0.0:
         return float(lo <= 0 <= hi)
     width = math.ceil(10.0 * math.sqrt(n_bar) + 40.0)
-    start = max(lo, math.floor(min(hi, n_bar)) - width)
+    start = max(lo, 0, math.floor(min(hi, n_bar)) - width)
     stop = min(hi, math.ceil(max(lo, n_bar)) + width)
     n = np.arange(start, stop + 1, dtype=float)
     return math.fsum(np.exp(_log_poisson_weight(n, n_bar)))
@@ -355,9 +357,9 @@ def coherent_joint_state(level: int, alpha: complex,
 def check_density(rho11: float, rho01: complex) -> None:
     """Reject ``(rho11, rho01)`` unless it is a density matrix to within rounding.
 
-    The check that :class:`AtomDensity` and ``AtomDensity._checked`` both
-    make: ``rho11`` in ``[0, 1]`` and a determinant
-    ``(1 - rho11) rho11 - |rho01|^2`` of at least ``-1e-12``. NaN fails both.
+    The check that constructing an :class:`AtomDensity` makes: ``rho11`` in
+    ``[0, 1]`` and a determinant ``(1 - rho11) rho11 - |rho01|^2`` of at
+    least ``-1e-12``. NaN fails both.
     """
     if not -_POSITIVITY_SLACK <= rho11 <= 1.0 + _POSITIVITY_SLACK:
         raise ValueError(f"rho11 must lie in [0, 1], got {rho11}")
@@ -373,36 +375,27 @@ def density_eigenvalues(rho11: float, rho01: complex) -> tuple[float, float]:
     return 0.5 - radius, 0.5 + radius
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AtomDensity:
     """Reduced 2x2 atomic density matrix.
 
     Stored as the excited population ``rho11 = <e|rho|e>`` and the coherence
     ``rho01 = <g|rho|e>``; the trace is exactly 1 and Hermiticity is implied
-    by the storage. Construction validates positivity.
+    by the storage. The one constructor converts the two arguments with
+    ``float()`` and ``complex()``, holds them to :func:`check_density` and
+    sets each slot through its descriptor, bound once at import. A Python
+    float and complex are stored as the very objects given, so the kernel's
+    and the pulse's states keep every bit and cost no conversion.
     """
 
     rho11: float
     rho01: complex = 0j
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho11", float(self.rho11))
-        object.__setattr__(self, "rho01", complex(self.rho01))
-        check_density(self.rho11, self.rho01)
-
-    @classmethod
-    def _checked(cls, rho11: float, rho01: complex) -> AtomDensity:
-        """The state of a Python float and a complex, held to :func:`check_density`.
-
-        Makes the same check as construction but skips its conversions,
-        which these types do not need, and sets the slots through their
-        descriptors rather than the frozen ``__setattr__``.
-        """
+    def __init__(self, rho11: float, rho01: complex = 0j) -> None:
+        rho11, rho01 = float(rho11), complex(rho01)
         check_density(rho11, rho01)
-        rho = object.__new__(cls)
-        _SET_RHO11(rho, rho11)
-        _SET_RHO01(rho, rho01)
-        return rho
+        _SET_RHO11(self, rho11)
+        _SET_RHO01(self, rho01)
 
     @property
     def rho00(self) -> float:

@@ -92,8 +92,8 @@ def cooling_axis_azimuth(t: float, phi: float = 0.0,
 
 # A sweep builds five objects per point: the kernel's pre-pulse AtomDensity,
 # the post-pulse one, a TemperatureReading, a ProtocolResult and a SweepPoint.
-# Slots keep each a third smaller and let them be built by setting each slot
-# through its descriptor, cheaper than the frozen ``object.__setattr__``.
+# Slots keep each a third smaller; each has one written-out ``__init__`` that sets
+# each slot through its descriptor, cheaper than the frozen ``object.__setattr__``.
 # Flags are not among them: every point shares one of the eight ``_FLAGS``.
 @dataclass(frozen=True, slots=True)
 class ValidityFlags:
@@ -166,24 +166,26 @@ class ProtocolResult:
     mode; ``reading.pe`` is its smallest eigenvalue (which the unitary pulse
     cannot change), so ``reading.pe <= 1/2`` always and equals the excited
     population whenever the pulse diagonalized the state.
-    ``pulse_residual`` is the off-diagonal magnitude the pulse left behind
-    (exactly 0 in diagonalize mode).
+    :attr:`pulse_residual`, ``abs(rho_post_pulse.rho01)``, is read from the
+    post-pulse state, not stored.
     """
 
     rho_pre_pulse: AtomDensity
     rho_post_pulse: AtomDensity
     reading: TemperatureReading
     validity: ValidityFlags
-    pulse_residual: float
 
     def __init__(self, rho_pre_pulse: AtomDensity, rho_post_pulse: AtomDensity,
-                 reading: TemperatureReading, validity: ValidityFlags,
-                 pulse_residual: float) -> None:
+                 reading: TemperatureReading, validity: ValidityFlags) -> None:
         _SET_PRE(self, rho_pre_pulse)
         _SET_POST(self, rho_post_pulse)
         _SET_READING(self, reading)
         _SET_VALIDITY(self, validity)
-        _SET_RESIDUAL(self, pulse_residual)
+
+    @property
+    def pulse_residual(self) -> float:
+        """Off-diagonal magnitude the pulse left; exactly 0 in diagonalize mode."""
+        return abs(self.rho_post_pulse.rho01)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -213,7 +215,6 @@ _SET_PRE = ProtocolResult.rho_pre_pulse.__set__
 _SET_POST = ProtocolResult.rho_post_pulse.__set__
 _SET_READING = ProtocolResult.reading.__set__
 _SET_VALIDITY = ProtocolResult.validity.__set__
-_SET_RESIDUAL = ProtocolResult.pulse_residual.__set__
 _SET_T = SweepPoint.t.__set__
 _SET_RESULT = SweepPoint.result.__set__
 _SET_ERROR = SweepPoint.error.__set__
@@ -267,13 +268,14 @@ def _run_grid(config: ProtocolConfig,
     :meth:`~cavitytherm.dynamics.FieldStep.evolve_grid` call. Each state
     is then pulsed and read out in scalar ``math`` arithmetic on its
     floats: the pulse of :func:`pi_half_pulse` or the smaller eigenvalue
-    of the pre-pulse state, the post-pulse state built and checked by
-    ``AtomDensity._checked``, its smaller eigenvalue clamped at 0 within
+    of the pre-pulse state, the post-pulse state built (and so checked)
+    by :class:`AtomDensity`, its smaller eigenvalue clamped at 0 within
     the same ``_POSITIVITY_SLACK``, and
     :func:`~cavitytherm.analytic.temperature_from_pe`. A result's
     pre-pulse state is the kernel's and its post-pulse state is that
-    checked one. The kernel's list of states is filled in place and
-    returned, so a sweep holds one list per grid.
+    checked one; the residual ``abs(c_post)`` is taken once, for the
+    result's shared flags. The kernel's list of states is filled in place
+    and returned, so a sweep holds one list per grid.
     """
     if not times:
         raise ValueError("t_grid must be nonempty")
@@ -295,7 +297,7 @@ def _run_grid(config: ProtocolConfig,
                 p_post, c_post = _quarter_turn(p, c, cooling_axis_azimuth(t, phi, physical))
             else:
                 p_post, c_post = density_eigenvalues(p, c)[0], 0j
-            rho_post = AtomDensity._checked(p_post, c_post)
+            rho_post = AtomDensity(p_post, c_post)
             pe = density_eigenvalues(p_post, c_post)[0]
             if pe < 0.0:
                 if pe < -_POSITIVITY_SLACK:
@@ -305,14 +307,12 @@ def _run_grid(config: ProtocolConfig,
         except Exception as exc:  # noqa: BLE001 - per-point errors are data
             results[i] = exc
             continue
-        residual = abs(c_post)
         results[i] = ProtocolResult(
             rho,
             rho_post,
             reading,
             _FLAGS[t >= collapse_complete, t <= half_revival,
-                   residual <= PULSE_RESIDUAL_TOLERANCE],
-            residual,
+                   abs(c_post) <= PULSE_RESIDUAL_TOLERANCE],
         )
     return results
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ class TestPoissonWeight:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             hilbert.poisson_weight(1, -1.0)
+
+    @pytest.mark.parametrize("n_bar", [0.0, 3.0])
+    @pytest.mark.parametrize("n", [-1, [0, -2], np.array([-1.0])])
+    def test_negative_photon_number_rejected_by_name(self, n, n_bar):
+        # Off its support the log weight is NaN (a divide by zero under -W
+        # error); the vacuum branch alone answered 0.
+        with pytest.raises(ValueError, match="photon number n must be non-negative"):
+            hilbert.poisson_weight(n, n_bar)
 
 
 def log_weight_by_where(n: np.ndarray, n_bar: float) -> np.ndarray:
@@ -251,6 +260,12 @@ class TestCoherentHeadMass:
         assert hilbert.coherent_mass(0.0, 0, -1) == 0.0
         assert hilbert.coherent_mass(0.0, 0, 2) == 1.0
 
+    @pytest.mark.parametrize("n_bar", [0.0, 2.0, 36.0, 1e4])
+    @pytest.mark.parametrize("hi", [math.inf, 3, -1])
+    def test_range_below_zero_has_the_mass_of_its_support(self, n_bar, hi):
+        # As the vacuum branch's float(lo <= 0 <= hi): n < 0 holds no mass.
+        assert hilbert.coherent_mass(n_bar, -5, hi) == hilbert.coherent_mass(n_bar, 0, hi)
+
 
 class TestCoherentMass:
     @settings(max_examples=200, deadline=None)
@@ -433,8 +448,23 @@ class TestAtomDensity:
         with pytest.raises(ValueError) as expected:
             hilbert.check_density(rho11, rho01)
         with pytest.raises(ValueError) as raised:
-            hilbert.AtomDensity._checked(rho11, rho01)
+            hilbert.AtomDensity(rho11, rho01)
         assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("rho11, rho01", [
+        (np.float64(0.25), np.complex128(0.1 + 0.2j)), (1, 0), (True, False),
+        (0.25, 0.1 + 0.2j)], ids=["numpy", "int", "bool", "python"])
+    def test_one_constructor_converts_keeps_and_rechecks(self, rho11, rho01):
+        rho = hilbert.AtomDensity(rho11, rho01)
+        assert type(rho.rho11) is float and type(rho.rho01) is complex
+        assert (rho.rho11, rho.rho01) == (rho11, rho01)
+        if type(rho11) is float:  # Python scalars are stored, not copied
+            assert rho.rho11 is rho11 and rho.rho01 is rho01
+        assert type(replace(rho, rho11=np.float64(0.5)).rho11) is float
+        with pytest.raises(ValueError, match=r"rho11 must lie in \[0, 1\]"):
+            replace(rho, rho11=1.5)
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            replace(rho, rho11=0.5, rho01=0.6)
 
     def test_eigenvalues(self):
         rho = hilbert.AtomDensity(rho11=0.5, rho01=0.3j)

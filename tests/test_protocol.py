@@ -211,11 +211,22 @@ class TestRunProtocol:
         assert result.pulse_residual <= 0.05
         assert result.validity.pulse_residual_ok
         assert abs(result.rho_post_pulse.rho01) == result.pulse_residual
+        # The residual is read from the post-pulse state, not stored.
+        assert [f.name for f in fields(protocol.ProtocolResult)] == [
+            "rho_pre_pulse", "rho_post_pulse", "reading", "validity"]
+        for mode in protocol.PULSE_MODES:
+            for point in protocol.sweep_interaction_time(make_config(0.0, pulse_mode=mode),
+                                                         np.linspace(0.0, 40.0, 41)):
+                residual = point.result.pulse_residual
+                assert residual.hex() == abs(point.result.rho_post_pulse.rho01).hex()
 
     def test_diagonalize_mode_has_zero_residual(self):
         result = protocol.run_protocol(make_config(9.0, pulse_mode="diagonalize"))
         assert result.pulse_residual == 0.0
         assert result.rho_post_pulse.rho01 == 0j
+        points = protocol.sweep_interaction_time(make_config(0.0, pulse_mode="diagonalize"),
+                                                 np.linspace(0.0, 40.0, 41))
+        assert {point.result.pulse_residual.hex() for point in points} == {(0.0).hex()}
 
     def test_reading_pe_never_exceeds_half(self):
         for t in (0.0, 1.0, 4.0, 9.0, 18.0, 25.0, 37.0):
@@ -501,9 +512,9 @@ class TestSweepColumns:
             assert repr(alone) == repr(point.result)  # signs of zero included
 
     def test_points_behave_like_publicly_built_ones(self, config):
-        # A sweep builds its points, results and readings through their
-        # hand-written ``__init__`` and its states through
-        # ``AtomDensity._checked``, which skips construction's conversions.
+        # A sweep builds its points, results, readings and states through
+        # their hand-written ``__init__``, which sets each slot through its
+        # descriptor; a state's also converts and checks its two values.
         points = protocol.sweep_interaction_time(config, EDGE_GRID)
         assert not all(point.ok for point in points)
         for point in points:
