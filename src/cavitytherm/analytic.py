@@ -13,13 +13,14 @@ Temperatures are reported in units of ``delta_e`` (equivalently
 
 The module is the package's numpy-free base: it also holds the level
 indices, :class:`PhysicalParams` and ``PULSE_MODES``, which the other
-modules import from here, and its three array-valued closed forms import
-numpy when called. So the floor and ceiling temperatures, and the CLI
-commands that print only them, load no numpy.
+modules import from here, and every closed form takes one time and
+computes in ``math``/``cmath``. So the floor and ceiling temperatures,
+and the CLI commands that print only them, load no numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -111,8 +112,8 @@ class Timescales:
         return 0.5 * self.tau_revival
 
 
-def rho11_analytic(t, n_bar: float, params: PhysicalParams | None = None,
-                   initial_level: int = LEVEL_E):
+def rho11_analytic(t: float, n_bar: float, params: PhysicalParams | None = None,
+                   initial_level: int = LEVEL_E) -> float:
     """Collapse-era excited population for an initial product state.
 
     A half-half mixture plus a damped oscillation at the mean-weighted
@@ -125,27 +126,22 @@ def rho11_analytic(t, n_bar: float, params: PhysicalParams | None = None,
     over dephases visibly from the exact numerics within three collapse
     times (deviation 0.06 instead of 0.01 at ``n_bar = 36``).
 
-    Scalar or array ``t``; valid through the collapse, ``t`` up to a few
-    ``tau_collapse``.
+    Valid through the collapse, ``t`` up to a few ``tau_collapse``.
     """
-    import numpy as np
-
     params = params or PhysicalParams()
     if initial_level not in (LEVEL_G, LEVEL_E):
         raise ValueError(f"initial_level must be 0 (g) or 1 (e), got {initial_level}")
     _check_n_bar(n_bar)
-    t = np.asarray(t, dtype=float)
     if initial_level == LEVEL_E:
         sign, ladder_mean = 1.0, n_bar + 1.0
     else:
         sign, ladder_mean = -1.0, n_bar
-    carrier = np.cos(2.0 * params.g * math.sqrt(ladder_mean) * t)
-    out = 0.5 + sign * 0.5 * carrier * np.exp(-0.5 * (params.g * t) ** 2)
-    return float(out) if out.ndim == 0 else out
+    carrier = math.cos(2.0 * params.g * math.sqrt(ladder_mean) * t)
+    return 0.5 + sign * 0.5 * carrier * math.exp(-0.5 * (params.g * t) ** 2)
 
 
-def rho01_analytic(t, n_bar: float, params: PhysicalParams | None = None,
-                   phi: float = 0.0):
+def rho01_analytic(t: float, n_bar: float, params: PhysicalParams | None = None,
+                   phi: float = 0.0) -> complex:
     """Post-collapse reduced coherence ``<g|rho|e>`` (initial-state independent).
 
     The slow coherence that emerges once the fast oscillations have
@@ -156,20 +152,16 @@ def rho01_analytic(t, n_bar: float, params: PhysicalParams | None = None,
     with ``phi`` the coherent field's phase. Its magnitude grows from 0 to
     the maximal 1/2 at the half-revival time, and its phase advances
     linearly at the carrier rate ``omega``. Valid on
-    ``[3 tau_collapse, tau_revival / 2]``; scalar or array ``t``.
+    ``[3 tau_collapse, tau_revival / 2]``.
     """
-    import numpy as np
-
     params = params or PhysicalParams()
     Timescales(n_bar)  # rejects an n_bar that is not positive and finite
-    t = np.asarray(t, dtype=float)
-    out = (0.5j * np.exp(1j * (params.omega * t - phi))
-           * np.sin(params.g * t / (2.0 * math.sqrt(n_bar))))
-    return complex(out) if out.ndim == 0 else out
+    return (0.5j * cmath.exp(1j * (params.omega * t - phi))
+            * math.sin(params.g * t / (2.0 * math.sqrt(n_bar))))
 
 
-def pe_after_pulse_analytic(t, n_bar: float,
-                            params: PhysicalParams | None = None):
+def pe_after_pulse_analytic(t: float, n_bar: float,
+                            params: PhysicalParams | None = None) -> float:
     """Closed-form excited population after an ideally phased half pulse.
 
     Equal to ``1/2 - |rho01_analytic(t)|`` identically (the smaller
@@ -177,20 +169,15 @@ def pe_after_pulse_analytic(t, n_bar: float,
     validity window reduces to ``(1/2)(1 - sin(g t / (2 sqrt(n_bar))))``.
     Emits :class:`ValidityWarning` outside ``[0, tau_revival / 2]``.
     """
-    import numpy as np
-
     params = params or PhysicalParams()
-    scales = Timescales(n_bar, params.g)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > scales.half_revival):
+    if not 0.0 <= t <= Timescales(n_bar, params.g).half_revival:
         warnings.warn(
             "pe_after_pulse_analytic evaluated outside [0, tau_revival/2]; "
             "the closed form is unreliable there",
             ValidityWarning,
             stacklevel=2,
         )
-    out = 0.5 - np.abs(rho01_analytic(t_arr, n_bar, params))
-    return float(out) if np.ndim(out) == 0 else out
+    return 0.5 - abs(rho01_analytic(t, n_bar, params))
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -8,9 +8,9 @@ and times in ``1/g``, as stated in the CSV header comment. Exit codes:
 0 success, 1 validation-suite failure, 2 usage or configuration error,
 3 numeric failure.
 
-``fig-tmin``, ``fig-tmax``, ``--help`` and ``--version`` load no numpy:
-the commands that simulate import it and the simulating modules when they
-run.
+``fig-tmin``, ``fig-tmax`` (on any grid), ``--help`` and ``--version``
+load no numpy: the commands that simulate import it and the simulating
+modules when they run.
 """
 
 from __future__ import annotations
@@ -292,16 +292,20 @@ def cmd_fig_rho01(spec: RunSpec) -> int:
 
 
 def _n_bar_grid(spec: RunSpec) -> list[float]:
-    """``[n_bar]`` when given, else the default grid, which needs numpy.
+    """``[n_bar]`` when given, else the default log-spaced grid on ``[10, 1000]``.
 
-    ``np.logspace``'s points are not bit-equal to ``10.0 ** y`` in Python.
+    The exponents follow ``np.linspace(1.0, 3.0, points)``'s arithmetic,
+    ``1.0 + i * step`` with the last one 3.0, so on the default 20 points
+    ``10.0 ** y`` has the bits of ``np.logspace(1.0, 3.0, 20)``; on some other
+    sizes a point differs by one ulp, numpy's ``power`` not being libm's.
     """
     if spec.n_bar_given:
         return [spec.n_bar]
-    import numpy as np
-
     points = spec.grid_points if spec.grid_points is not None else 20
-    return np.logspace(1.0, 3.0, points).tolist()
+    if points == 1:
+        return [10.0]
+    step = 2.0 / (points - 1)
+    return [10.0 ** (1.0 + i * step) for i in range(points - 1)] + [10.0 ** 3.0]
 
 
 def cmd_fig_tmin(spec: RunSpec) -> int:

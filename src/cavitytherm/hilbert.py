@@ -104,11 +104,15 @@ def _log_poisson_weight(n: np.ndarray, n_bar: float) -> np.ndarray:
 def poisson_weight(n, n_bar: float):
     """Poisson weight ``w(n) = exp(-n_bar) n_bar**n / n!`` in log space.
 
-    Accepts scalar or array ``n`` (non-negative integers; a negative one
-    raises ``ValueError``); returns a float or float array.
+    Accepts scalar or array ``n`` (non-negative integers; a NaN, infinite,
+    fractional or negative one raises ``ValueError``); returns a float or
+    float array.
     """
     _check_n_bar(n_bar)
     n_arr = np.asarray(n, dtype=float)
+    whole = np.isfinite(n_arr) & (n_arr == np.floor(n_arr))
+    if not whole.all():
+        raise ValueError(f"photon number n must be a finite integer, got {n_arr[~whole][0]}")
     if (n_arr < 0).any():
         raise ValueError(f"photon number n must be non-negative, got {n_arr.min()}")
     if n_bar == 0.0:

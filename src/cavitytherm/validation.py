@@ -297,13 +297,7 @@ def pipeline_determinism() -> tuple[bool, str]:
     t = _SCALES.half_revival * 0.37
     a = protocol.run_protocol(_default_config(t))
     b = protocol.run_protocol(_default_config(t))
-    same = (
-        a.rho_pre_pulse == b.rho_pre_pulse
-        and a.rho_post_pulse == b.rho_post_pulse
-        and a.reading == b.reading
-        and a.pulse_residual == b.pulse_residual
-    )
-    return same, "two identical runs compared field-by-field"
+    return a == b, "two identical runs compared field-by-field"
 
 
 @_check()

@@ -93,7 +93,8 @@ class TestRho11Analytic:
     def test_tracks_exact_dynamics_through_collapse(self, initial_level):
         scales = Timescales(N_BAR)
         t_grid = np.linspace(0.0, 3.0 * scales.tau_collapse, 80)
-        approx = analytic.rho11_analytic(t_grid, N_BAR, initial_level=initial_level)
+        approx = np.array([analytic.rho11_analytic(t, N_BAR, initial_level=initial_level)
+                           for t in t_grid])
         exact = np.array([exact_rho11(t, initial_level) for t in t_grid])
         assert np.max(np.abs(approx - exact)) <= 0.03
 
@@ -166,14 +167,19 @@ class TestPeAfterPulseAnalytic:
 
     def test_equals_half_minus_coherence_magnitude(self):
         t = np.linspace(0.0, Timescales(36.0).half_revival, 40)
-        lhs = analytic.pe_after_pulse_analytic(t, 36.0)
-        rhs = 0.5 - np.abs(analytic.rho01_analytic(t, 36.0))
+        lhs = [analytic.pe_after_pulse_analytic(ti, 36.0) for ti in t]
+        rhs = [0.5 - abs(analytic.rho01_analytic(ti, 36.0)) for ti in t]
         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
 
     def test_warns_outside_window(self):
         scales = Timescales(36.0)
         with pytest.warns(analytic.ValidityWarning):
             analytic.pe_after_pulse_analytic(scales.half_revival + 1.0, 36.0)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_warns_below_the_window_and_for_a_nan_time(self, t):
+        with pytest.warns(analytic.ValidityWarning):
+            analytic.pe_after_pulse_analytic(t, 36.0)
 
     def test_silent_inside_window(self):
         import warnings

@@ -391,6 +391,18 @@ class TestFigTmin:
         assert n_bar[-1] == pytest.approx(1000.0)
         assert all(b < a for a, b in zip(temps, temps[1:]))
 
+    @pytest.mark.parametrize("points", [None, 1, 2, 7, 50, 200])
+    def test_grid_is_numpys_logspace_to_an_ulp(self, points):
+        # numpy's power is not libm's pow: on some sizes a point moves by
+        # one ulp, never on the default 20 points.
+        grid = cli._n_bar_grid(cli.RunSpec(command="fig-tmin", grid_points=points))
+        reference = np.logspace(1.0, 3.0, 20 if points is None else points)
+        assert all(type(n) is float for n in grid)
+        assert (grid[0], grid[-1], len(grid)) == (reference[0], reference[-1], len(reference))
+        np.testing.assert_array_max_ulp(np.array(grid), reference, maxulp=1)
+        if points is None:
+            assert grid == reference.tolist()
+
     def test_single_point_grid(self, capsys):
         code, out, _ = run_cli(capsys, "fig-tmin", "--n-bar", "46")
         assert code == 0
@@ -585,10 +597,15 @@ def _cli_child(src_env, argv, block_numpy):
 @pytest.mark.parametrize("argv, exit_code", [
     (["fig-tmin", "--n-bar", "46"], 0),
     (["fig-tmax", "--n-bar", "46"], 0),
+    (["fig-tmin"], 0),
+    (["fig-tmax"], 0),
+    (["fig-tmin", "--grid-points", "7"], 0),
+    (["fig-tmax", "--grid-points", "7"], 0),
     (["--version"], 0),
     (["--help"], 0),
     (["run", "--config", "{bad_config}"], 2),
-], ids=["fig-tmin", "fig-tmax", "version", "help", "bad-config"])
+], ids=["fig-tmin", "fig-tmax", "fig-tmin-default-grid", "fig-tmax-default-grid",
+        "fig-tmin-7-points", "fig-tmax-7-points", "version", "help", "bad-config"])
 def test_closed_form_commands_need_no_numpy(src_env, tmp_path, argv, exit_code):
     bad_config = tmp_path / "bad.cfg"
     bad_config.write_text("n_bar = 36\nbogus = 1\n", encoding="utf-8")

@@ -60,6 +60,19 @@ class TestPoissonWeight:
         with pytest.raises(ValueError, match="photon number n must be non-negative"):
             hilbert.poisson_weight(n, n_bar)
 
+    @pytest.mark.parametrize("n_bar", [0.0, 3.0])
+    @pytest.mark.parametrize("n, bad", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (2.5, "2.5"),
+        ([0, 2.5], "2.5"), (np.array([1.0, math.nan]), "nan"),
+    ])
+    def test_non_integer_photon_number_rejected_by_name(self, n, bad, n_bar):
+        # The log weight alone would answer off the integers: 0.2326 at
+        # n = 2.5, NaN (with an "invalid value" warning at inf) for a
+        # non-finite n.
+        with pytest.raises(ValueError,
+                           match=f"^photon number n must be a finite integer, got {bad}$"):
+            hilbert.poisson_weight(n, n_bar)
+
 
 def log_weight_by_where(n: np.ndarray, n_bar: float) -> np.ndarray:
     """Loader's log weight with both branches taken over the whole range."""

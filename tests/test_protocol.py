@@ -258,6 +258,24 @@ class TestRunProtocol:
         assert a.reading.temperature == b.reading.temperature
         assert a.rho_pre_pulse.rho01 == b.rho_pre_pulse.rho01
 
+    @pytest.mark.parametrize("pulse_mode", protocol.PULSE_MODES)
+    def test_post_pulse_eigenvalue_within_slack_reads_zero(self, monkeypatch, pulse_mode):
+        # A kernel state at the positivity edge: |rho01| = 1/2 + 4e-13 on the
+        # equator gives det ~ -4e-13, inside the 1e-12 slack, so the pulsed
+        # state's smaller eigenvalue is a rounding below 0 and reads as 0.
+        t = 9.0
+        edge = AtomDensity(0.5, (0.5 + 4e-13) * 1j * complex(math.cos(t), math.sin(t)))
+        assert hilbert.density_eigenvalues(edge.rho11, edge.rho01)[0] < 0.0
+
+        def edge_states(self, atom, times):
+            return [edge for _ in times]
+
+        monkeypatch.setattr(dynamics.FieldStep, "evolve_grid", edge_states)
+        result = protocol.run_protocol(make_config(t, pulse_mode=pulse_mode))
+        assert result.rho_pre_pulse is edge
+        assert result.reading.pe == 0.0
+        assert result.reading.temperature == 0.0
+
     def test_pre_pulse_state_is_returned(self):
         result = protocol.run_protocol(make_config(9.0))
         assert 0.0 <= result.rho_pre_pulse.rho11 <= 1.0

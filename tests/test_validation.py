@@ -82,3 +82,26 @@ def test_a_failed_grid_entry_is_reported_as_its_own_error(monkeypatch, fault):
         assert not checks[name].passed
         assert checks[name].detail.startswith("raised ValueError: "), checks[name].detail
         assert checks[name].detail.endswith(message), checks[name].detail
+
+
+def test_determinism_check_compares_the_validity_flags(monkeypatch):
+    run = protocol.run_protocol
+    results = []
+
+    def second_run_flags_differ(config):
+        result = run(config)
+        if results:  # the second run: the same states and reading, other flags
+            flags = result.validity
+            result = protocol.ProtocolResult(
+                result.rho_pre_pulse, result.rho_post_pulse, result.reading,
+                protocol.ValidityFlags(flags.collapse_completed, flags.within_half_revival,
+                                       not flags.pulse_residual_ok))
+        results.append(result)
+        return result
+
+    assert validation.pipeline_determinism()[0]
+    monkeypatch.setattr(protocol, "run_protocol", second_run_flags_differ)
+    passed, detail = validation.pipeline_determinism()
+    assert len(results) == 2
+    assert results[0].rho_post_pulse == results[1].rho_post_pulse
+    assert not passed, detail
