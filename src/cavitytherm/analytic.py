@@ -293,44 +293,39 @@ def t_min(n_bar: float, delta_e: float = 1.0) -> TemperatureReading:
     return temperature_from_pe(pe, delta_e)
 
 
-_LAMBERT_MAX_ITER = 100  # Halley steps before lambert_w0 gives up
+def _bisect(below, lo: float, hi: float) -> float:
+    """First float in ``(lo, hi]`` at which the monotone predicate ``below`` fails.
 
-# The Halley step's products overflow from x near 2.6e302 on (``w exp(w)``
-# itself from 1.8e305 on), so above 1e300 the iteration runs on both sides
-# of ``w exp(w) = x`` times exp(-700). Below it the shift is 0 and changes
-# no bit.
-_LAMBERT_SHIFT_ABOVE = 1e300
-_LAMBERT_SHIFT = 700.0
+    Halves the bracket until its ends are adjacent floats and returns the
+    upper one. ``below`` is never called at either end: the caller knows
+    that it holds at ``lo`` and fails at ``hi``.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function for ``x >= 0``.
 
-    Halley iteration seeded with ``log1p(x)``; converges in a handful of
-    steps on the whole non-negative axis with residual
-    ``|W exp(W) - x| <= 1e-12 max(1, x)``, and returns inf, its limit, at
-    ``x = inf``. Raises ``ArithmeticError`` if the iteration has not
-    converged after ``_LAMBERT_MAX_ITER`` steps (unreachable for ``x >= 0``).
+    Bisects ``w + log(w) < log(x)``, the logarithm of ``w exp(w) < x``, on
+    ``(0, log1p(x)]`` (``W(x) <= log1p(x)``) down to adjacent floats. The
+    log form cannot overflow, so one loop covers the whole float range, and
+    it is exact to the rounding of ``log(x)``: a relative error of about
+    ``ulp(log x) / (1 + W)``. Returns inf, its limit, at ``x = inf``.
     """
     x = float(x)
     if not x >= 0.0:
         raise ValueError(f"lambert_w0 requires x >= 0, got {x}")
     if x == 0.0 or x == math.inf:
         return x
-    shift = _LAMBERT_SHIFT if x > _LAMBERT_SHIFT_ABOVE else 0.0
-    x_shifted = x * math.exp(-shift)
-    w = math.log1p(x)
-    for _ in range(_LAMBERT_MAX_ITER):
-        ew = math.exp(w - shift)
-        f = w * ew - x_shifted
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        step = f / denom
-        w -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
-            break
-    else:
-        raise ArithmeticError(f"lambert_w0 did not converge for x={x}")
-    return w
+    log_x = math.log(x)
+    return _bisect(lambda w: w + math.log(w) < log_x, 0.0, math.log1p(x))
 
 
 # Weight of the Gaussian transient against the emergent coherence in the
@@ -362,9 +357,10 @@ def collapse_condition_time(n_bar: float,
     Solves ``COLLAPSE_SAFETY_FACTOR * exp(-t^2/tau_c^2) =
     sin(g t / (2 sqrt(n_bar)))`` for the first crossing: before it the
     Gaussian transient (weighted by the safety factor) still exceeds the
-    emergent coherence, after it the protocol may fire. Bisection runs to
-    1e-12 relative width; the Lambert-W linearization is returned alongside
-    for comparison.
+    emergent coherence, after it the protocol may fire. Bisection narrows
+    ``[0, tau_revival / 2]`` to adjacent floats and returns the first time
+    at which the transient no longer wins; the Lambert-W linearization is
+    returned alongside for comparison.
     """
     params = params or PhysicalParams()
     g = params.g
@@ -376,21 +372,13 @@ def collapse_condition_time(n_bar: float,
         return (COLLAPSE_SAFETY_FACTOR * math.exp(-(min(t / scales.tau_collapse, 28.0) ** 2))
                 - math.sin(g * t / (2.0 * math.sqrt(n_bar))))
 
-    lo, hi = 0.0, scales.half_revival
+    hi = scales.half_revival
     if f(hi) > 0.0:
         raise ValueError(
             f"no bracket for the collapse condition in [0, {hi:.6g}] "
             f"(n_bar={n_bar}, COLLAPSE_SAFETY_FACTOR={COLLAPSE_SAFETY_FACTOR})"
         )
-    while hi - lo > 1e-12 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = _bisect(lambda t: f(t) > 0.0, 0.0, hi)
     linearized = math.sqrt(lambert_w0(4.0 * COLLAPSE_SAFETY_FACTOR ** 2 * n_bar)) / g
     return CollapseTime(root=root, linearized=linearized, residual=abs(f(root)))
 

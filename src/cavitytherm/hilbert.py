@@ -147,14 +147,11 @@ def _required_cutoff(n_bar: float) -> int:
     Bisects below :func:`default_cutoff`, whose tail Bernstein's inequality
     puts under ``exp(-30)`` for every ``n_bar``.
     """
-    lo, hi = 0, default_cutoff(n_bar)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if coherent_mass(n_bar, mid + 1) <= DEFAULT_TAIL_TOLERANCE:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    import bisect  # only the TruncationError message needs it
+
+    return bisect.bisect_left(
+        range(default_cutoff(n_bar)), True,
+        key=lambda m: coherent_mass(n_bar, m + 1) <= DEFAULT_TAIL_TOLERANCE)
 
 
 # ``exp(x)`` rounds to 0 below x = -745.13, so an amplitude ``exp(log w / 2)``

@@ -1,13 +1,14 @@
 """Closed-form layer, checked against independent oracles.
 
-Oracles used here: scipy's Lambert W for the hand-rolled Halley iteration,
-scipy's Brent root finder for the bisection, and the exact propagator
-pipeline for every collapse-era formula.
+Oracles used here: scipy's Lambert W and Brent root finder for the two
+bisections, and the exact propagator pipeline for every collapse-era
+formula.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,10 @@ from cavitytherm.hilbert import LEVEL_E, LEVEL_G, PhysicalParams
 
 N_BAR = 36.0
 ALPHA = 6.0
+
+# 400 n_bar at the 34th n_bar of a 100-point fig-tmax grid: an iterative
+# Lambert W that cycles between two floats around the root raised here.
+CYCLE_X = 33990.13743634579
 
 
 def exact_rho11(t: float, initial_level: int) -> float:
@@ -289,8 +294,7 @@ class TestLambertW:
 
     @pytest.mark.parametrize("x", [1e300, 1e303, 4e305, 4e307, 1.7976931348623157e308])
     def test_top_of_the_float_range(self, x):
-        # Unscaled, the Halley step overflows from x near 2.6e302 on: it
-        # stopped at its seed log1p(x), and raised from 1.8e305 on.
+        # w exp(w) overflows from x near 1.8e305 on; its logarithm does not.
         expected = float(scipy.special.lambertw(x).real)
         w = analytic.lambert_w0(x)
         assert w == pytest.approx(expected, rel=1e-15)
@@ -310,10 +314,15 @@ class TestLambertW:
         with pytest.raises(ValueError):
             analytic.lambert_w0(-0.5)
 
-    def test_non_convergence_is_a_hard_failure(self, monkeypatch):
-        monkeypatch.setattr(analytic, "_LAMBERT_MAX_ITER", 1)
-        with pytest.raises(ArithmeticError):
-            analytic.lambert_w0(14400.0)
+    def test_log_uniform_draws_match_scipy(self):
+        rng = random.Random(0)
+        for x in [10.0 ** rng.uniform(-3.0, 300.0) for _ in range(2000)] + [CYCLE_X]:
+            expected = float(scipy.special.lambertw(x).real)
+            assert analytic.lambert_w0(x) == pytest.approx(expected, rel=1e-14), x
+
+    def test_smallest_subnormal_returns_the_upper_end(self):
+        # The bracket (0, 5e-324] has adjacent ends at once; W is positive.
+        assert analytic.lambert_w0(5e-324) > 0.0
 
 
 class TestCollapseConditionTime:
@@ -382,6 +391,18 @@ class TestTMax:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             analytic.t_max(36.0, variant="exact")
+
+    @pytest.mark.parametrize("variant", analytic.T_MAX_VARIANTS)
+    def test_grid_point_where_lambert_w_cycled(self, variant):
+        reading = analytic.t_max(CYCLE_X / 400.0, variant=variant)
+        assert 0.0 < reading.pe < 0.5 and 0.0 < reading.temperature < math.inf
+
+    def test_log_uniform_draws_all_return(self):
+        rng = random.Random(0)
+        for n_bar in [10.0 ** rng.uniform(1.0, 3.0) for _ in range(500)]:
+            numeric = analytic.t_max(n_bar, variant="numeric")
+            closed = analytic.t_max(n_bar, variant="closed_form")
+            assert 0.0 < numeric.temperature < closed.temperature < math.inf, n_bar
 
     @pytest.mark.parametrize("n_bar", [1e300, 1e306, 1e308])
     def test_extreme_n_bar_reads_infinite_temperature(self, n_bar):

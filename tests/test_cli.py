@@ -435,6 +435,12 @@ class TestFigTmax:
         assert (code, err) == (0, "")
         assert out.splitlines()[2] == "1.0000000000000001e+300,inf,inf"
 
+    def test_hundred_point_grid(self, capsys):
+        # Was exit 3: "lambert_w0 did not converge for x=33990.13743634579".
+        code, out, err = run_cli(capsys, "fig-tmax", "--grid-points", "100")
+        assert (code, err) == (0, "")
+        assert len(parse_csv(out)[1]) == 100
+
     @pytest.mark.parametrize("n_bar", ["1e306", "1e308"])
     def test_overflowing_collapse_argument_names_the_closed_form(self, capsys, n_bar):
         # Was "lambert_w0 did not converge for x=inf" and an unnamed
@@ -583,6 +589,27 @@ def test_cli_import_loads_no_oracle_modules(src_env):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, check=True, env=src_env)
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_emit_only_plain_python_cells(capsys, monkeypatch):
+    # Every CSV and JSON cell passes through _plain_value; record what the
+    # commands hand it.
+    seen = set()
+    plain_value = cli._plain_value
+
+    def recording(value):
+        seen.add(type(value))
+        return plain_value(value)
+
+    monkeypatch.setattr(cli, "_plain_value", recording)
+    for argv in (["run", "--time", "9"],
+                 ["sweep", "--grid-points", "20"],
+                 ["sweep", "--grid-points", "20", "--pulse-mode", "diagonalize"],
+                 ["fig-rho01", "--grid-points", "20", "--initial-level", "both"],
+                 ["fig-tmin"], ["fig-tmax"], ["validate", "--format", "json"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    assert seen and seen <= {float, bool, str, type(None)}
 
 
 def _cli_child(src_env, argv, block_numpy):
