@@ -357,13 +357,22 @@ def collapse_condition_time(n_bar: float,
     Solves ``COLLAPSE_SAFETY_FACTOR * exp(-t^2/tau_c^2) =
     sin(g t / (2 sqrt(n_bar)))`` for the first crossing: before it the
     Gaussian transient (weighted by the safety factor) still exceeds the
-    emergent coherence, after it the protocol may fire. Bisection narrows
-    ``[0, tau_revival / 2]`` to adjacent floats and returns the first time
-    at which the transient no longer wins; the Lambert-W linearization is
-    returned alongside for comparison.
+    emergent coherence, after it the protocol may fire. The root is
+    :func:`_collapse_root`'s; the Lambert-W linearization is returned
+    alongside for comparison.
     """
-    params = params or PhysicalParams()
-    g = params.g
+    g = (params or PhysicalParams()).g
+    root, residual = _collapse_root(n_bar, g)
+    linearized = math.sqrt(lambert_w0(4.0 * COLLAPSE_SAFETY_FACTOR ** 2 * n_bar)) / g
+    return CollapseTime(root=root, linearized=linearized, residual=residual)
+
+
+def _collapse_root(n_bar: float, g: float) -> tuple[float, float]:
+    """The collapse condition's root and the mismatch ``|f(root)|`` there.
+
+    Bisection narrows ``[0, tau_revival / 2]`` to adjacent floats and
+    returns the first time at which the transient no longer wins.
+    """
     scales = Timescales(n_bar, g)  # rejects an n_bar that is not positive and finite
 
     def f(t: float) -> float:
@@ -379,8 +388,7 @@ def collapse_condition_time(n_bar: float,
             f"(n_bar={n_bar}, COLLAPSE_SAFETY_FACTOR={COLLAPSE_SAFETY_FACTOR})"
         )
     root = _bisect(lambda t: f(t) > 0.0, 0.0, hi)
-    linearized = math.sqrt(lambert_w0(4.0 * COLLAPSE_SAFETY_FACTOR ** 2 * n_bar)) / g
-    return CollapseTime(root=root, linearized=linearized, residual=abs(f(root)))
+    return root, abs(f(root))
 
 
 T_MAX_VARIANTS = ("numeric", "closed_form")
@@ -391,7 +399,9 @@ def t_max(n_bar: float, delta_e: float = 1.0, variant: str = "numeric",
     """Highest usable protocol temperature, reached at the collapse condition.
 
     ``variant='numeric'`` (reference): evaluate the pulse-floor population
-    at the exact collapse-condition root and map it to a temperature.
+    at the exact collapse-condition root and map it to a temperature; it
+    finds the root alone, without :func:`collapse_condition_time`'s
+    Lambert-W linearization.
     ``variant='closed_form'``: the historical closed form
 
         T = delta_e / ln( (4 sqrt(n_bar) + sqrt(W(400 n_bar)))
@@ -405,10 +415,10 @@ def t_max(n_bar: float, delta_e: float = 1.0, variant: str = "numeric",
     reads ``T = inf`` at ``pe = 1/2``, as the numeric variant does there; it
     is undefined once ``400 n_bar`` overflows.
     """
-    params = PhysicalParams(delta_e=delta_e, g=g)
+    PhysicalParams(delta_e=delta_e, g=g)  # rejects a bad delta_e or g by name
     if variant == "numeric":
-        ct = collapse_condition_time(n_bar, params)
-        sin_val = math.sin(g * ct.root / (2.0 * math.sqrt(n_bar)))
+        root, _ = _collapse_root(n_bar, g)
+        sin_val = math.sin(g * root / (2.0 * math.sqrt(n_bar)))
         pe = 0.5 * (1.0 - sin_val)
         return temperature_from_pe(pe, delta_e)
     if variant == "closed_form":

@@ -14,13 +14,17 @@ Three routes to the same physics, each held to the next:
 * :func:`evolve_atom_field_mixture` is the reduced-state kernel the pipeline
   runs: the closed photon-number series for a diagonal atom and a coherent
   field, evaluated over real cos/sin vectors. Its field half,
-  :class:`FieldStep`, is built once per field. Its one grid entry,
+  :class:`FieldStep`, is built once per field, over the photon numbers
+  whose weight can reach a sum. Its one grid entry,
   :meth:`FieldStep.evolve_grid`, evaluates a whole grid of times in chunks
   of at most ``_CHUNK_ELEMENTS`` angles, in three buffers reused by every
   chunk, and checks each state;
   :meth:`FieldStep.evolve` is its one-point case. Each time's dot products
   (one ``np.vecdot`` per chunk) and carrier are its own, so a state has
-  the same bits on any grid.
+  the same bits on any grid that takes the direct path. A long uniform
+  grid (every ``np.linspace`` sweep) takes the rotated path: one row of
+  ``np.cos``/``np.sin`` per block of times, the other rows turned from it
+  by fine tables, within a stated bound of the direct bits.
 * :func:`coherence_from_propagator` is its cross-check: :func:`propagate`
   applies the closed-form block propagator to the joint pure state and
   :func:`~cavitytherm.hilbert.partial_trace_field` traces the field out.
@@ -85,6 +89,19 @@ def hamiltonian_matrix(params: PhysicalParams, n_max: int) -> np.ndarray:
 # evaluated one time per chunk.
 _CHUNK_ELEMENTS = 2048
 
+# A weight at most half an ulp of 1, with at most as much mass beyond it,
+# cannot move a sum of at most 1: the grid step's window ends there.
+_INVISIBLE = 2.0 ** -54
+
+# How far, in ulps of its largest time, a grid may stray from the
+# arithmetic progression through its ends and still take the rotated path
+# (``np.linspace`` strays by at most 2).
+_PROGRESSION_ULPS = 4
+
+# The rotated path pays for its tables only with at least this many blocks
+# of times (measured against the direct path at n_bar from 2 to 1e3).
+_PAYBACK_BLOCKS = 8
+
 
 def propagate(state: JointPureState, t: float) -> JointPureState:
     """Evolve a joint pure state for time ``t`` with the closed-form blocks.
@@ -145,6 +162,16 @@ def propagate(state: JointPureState, t: float) -> JointPureState:
     return JointPureState._adopt(out, params)
 
 
+def _visible_end(w: np.ndarray, start: int) -> int:
+    """First index from ``start`` on where ``w`` and the mass after it are both invisible.
+
+    The last index when there is none, or when ``start`` is past the end.
+    """
+    after = np.add.accumulate(w[:start:-1])[::-1]  # after[i - start] = sum(w[i + 1:])
+    hidden = (w[start:-1] <= _INVISIBLE) & (after <= _INVISIBLE)
+    return start + int(hidden.argmax()) if hidden.any() else w.size - 1
+
+
 def check_interaction_time(t: float) -> None:
     """Reject an interaction time that is negative, infinite or NaN."""
     if not 0 <= t < math.inf:
@@ -155,12 +182,20 @@ class FieldStep:
     """The field half of :func:`evolve_atom_field_mixture`, built once per field.
 
     Holds what the series needs of the validated window ``[n_lo, n_max]``
-    of ``prep``: the Poisson weights ``w_n`` for ``n_lo <= n <= n_max``, the
-    products ``a_n a_{n+1}`` of their square roots, the table ``sqrt(k)``
-    for ``n_lo <= k <= n_max + 1`` and ``arg(alpha)``. The weight sum is
-    norm-checked against overshoot. Every table starts at ``n_lo``, so the
-    series indexes them as it would from 0; one field step serves every
-    time and initial atom of a sweep or figure.
+    of ``prep``, trimmed to the photon numbers the series can see: the
+    window ends at the first ``n`` past the mean whose weight and the mass
+    above it are both at most ``2^-54`` (half an ulp of 1), and starts at
+    the mirror of that rule below the mean, so each dropped end holds at
+    most ``2^-54`` (at ``n_bar = 36``, 99 of the 130 ``sqrt(k)``). Over the
+    trimmed window ``[n_first, n_top]`` it holds the Poisson weights
+    ``w_n``, the products ``a_n a_{n+1}`` of their square roots, the table
+    ``sqrt(k)`` for ``n_first <= k <= n_top + 1`` and ``arg(alpha)``. The
+    top level stays the partnerless one (``C = 1``), so a vacuum field,
+    trimmed to ``n <= 1``, still gives exactly ``cos^2(g t)``. The weight
+    sum of the whole prep window is norm-checked against overshoot. Every
+    table starts at ``n_first``, so the series indexes them as it would
+    from 0; one field step serves every time and initial atom of a sweep
+    or figure.
 
     :meth:`evolve_grid` runs the series over a grid of times and checks
     each state; :meth:`evolve` is its one-point case. The grid step
@@ -170,24 +205,31 @@ class FieldStep:
     one time) that are allocated once per call and reused by every chunk,
     so a sweep's traced peak is its own result. Its three reductions are
     one ``np.vecdot`` each over the chunk's rows. For float64 that is the
-    unit-stride BLAS ``ddot`` that
-    ``np.dot`` runs on a row alone, and each time keeps its own scalar
-    carrier, so a state is the same bits whatever the grid and its chunk.
+    unit-stride BLAS ``ddot`` that ``np.dot`` runs on a row alone, and each
+    time keeps its own scalar carrier. So on the direct path (one time, a
+    short grid or one that is not uniform) a state has the same bits
+    whatever the grid and its chunk. A long uniform grid takes its cos and
+    sin from rotation tables instead (:meth:`_series`), within a bound of
+    the direct ones.
     """
 
     __slots__ = ("g", "omega", "phase", "weights", "pairs", "root_k")
 
     def __init__(self, prep: CoherentPrep, params: PhysicalParams | None = None) -> None:
         params = params or PhysicalParams()
-        n_lo = prep.n_lo
-        w = poisson_weight(np.arange(n_lo, prep.n_max + 1), prep.n_bar)
+        n_lo, n_bar = prep.n_lo, prep.n_bar
+        w = poisson_weight(np.arange(n_lo, prep.n_max + 1), n_bar)
         check_norm_deficit(1.0 - float(np.sum(w)))
+        # Scan up from the first n past the mean, and down from the last n below it.
+        top = _visible_end(w, max(0, math.floor(n_bar) + 1 - n_lo))
+        bottom = w.size - 1 - _visible_end(w[::-1], max(0, w.size - math.ceil(n_bar) + n_lo))
+        w = w[bottom:top + 1]
         a = np.sqrt(w)
         self.g, self.omega = params.g, params.omega
         self.phase = prep.phi
         self.weights = w
         self.pairs = a[:-1] * a[1:]
-        self.root_k = np.sqrt(np.arange(n_lo, prep.n_max + 2.0))
+        self.root_k = np.sqrt(np.arange(n_lo + bottom, n_lo + top + 2.0))
 
     def evolve(self, atom: AtomDensity, t: float) -> AtomDensity:
         """Reduced state of the diagonal ``atom`` after time ``t`` in this field."""
@@ -203,20 +245,26 @@ class FieldStep:
         Entry ``i`` is the state after ``times[i]``, its ``rho11`` a Python
         float and its ``rho01`` a complex, or the ``ValueError`` that
         rejects the time or its state: a negative, infinite or NaN time,
-        one whose largest Rabi angle ``g sqrt(n_max + 1) t`` or whose
-        carrier phase ``omega t`` overflows, or one whose state the
+        one whose largest Rabi angle ``g sqrt(k) t`` over the window (the
+        message says ``n_max + 1`` for its top) or whose carrier phase
+        ``omega t`` overflows, or one whose state the
         :class:`~cavitytherm.hilbert.AtomDensity` constructor rejects through
-        :func:`~cavitytherm.hilbert.check_density`. The other entries do
-        not depend on a rejected one. A zero time is the identity and its
+        :func:`~cavitytherm.hilbert.check_density`. A rejected time is left
+        out of the series, so it can move the others only by choosing their
+        path (see :meth:`_series`). A zero time is the identity and its
         entry is ``atom`` itself: the series leaves ~1e-16 dust in rho11,
         enough to turn a maximally mixed atom's infinite temperature into a
         finite ~1e15 reading. A non-diagonal ``atom`` raises for the whole
         grid.
         """
+        return self._evolve_floats(atom, [float(t) for t in times])
+
+    def _evolve_floats(self, atom: AtomDensity,
+                       times: list[float]) -> list[AtomDensity | ValueError]:
+        """:meth:`evolve_grid` on a list of Python floats, which it does not copy."""
         if atom.rho01 != 0:
             raise ValueError(
                 f"the atom must be diagonal (thermal), got rho01 = {atom.rho01}")
-        times = [float(t) for t in times]
         top = float(self.root_k[-1])
         states: list[AtomDensity | ValueError] = [atom] * len(times)
         run = []  # the positions the series evaluates
@@ -244,50 +292,126 @@ class FieldStep:
                 states[i] = exc
         return states
 
+    def _fine_tables(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The rotated path's fine tables for ``times``, or None for the direct path.
+
+        Rows ``b = 1 .. R - 1`` of ``cos`` and ``sin`` of ``g sqrt(k) b dt``,
+        ``dt`` the step of the arithmetic progression through the ends of
+        ``times``. A block's three chunk buffers and the two tables,
+        ``5 R - 2`` rows of ``K``, fit in three buffers of
+        ``_CHUNK_ELEMENTS``, so a window wider than 768 has no block of two
+        and keeps the direct path. A block evaluates one row of cos and sin
+        for ``R`` times, and the path needs at least ``_PAYBACK_BLOCKS``
+        blocks of times. The times must lie within ``_PROGRESSION_ULPS``
+        ulps of the progression; only the times are checked.
+        """
+        block = (3 * _CHUNK_ELEMENTS // self.root_k.size + 2) // 5
+        n = times.size
+        if block < 2 or n < _PAYBACK_BLOCKS * block:
+            return None
+        first, last = float(times[0]), float(times[-1])
+        step = (last - first) / (n - 1)
+        drift = np.arange(n, dtype=float)
+        drift *= step
+        drift += first
+        drift -= times
+        if np.abs(drift, out=drift).max() > _PROGRESSION_ULPS * math.ulp(max(abs(first), abs(last))):
+            return None
+        fine_s = np.multiply.outer(self.g * (step * np.arange(1.0, block)), self.root_k)
+        return np.cos(fine_s), np.sin(fine_s, out=fine_s)
+
     def _series(self, p: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``rho11`` and the real coherence envelope after each of ``times``.
 
         The times must be positive, with finite Rabi angles. A chunk of
-        ``_CHUNK_ELEMENTS // K`` times (at least one) is one C-contiguous
-        ``(rows, K)`` block, ``K = root_k.size``, so every elementwise step
-        is one contiguous pass. Three such buffers are allocated once per
-        call and every chunk is evaluated in them with ``out=`` ufuncs: the
-        angles, then their sines written over them; the cosines, a buffer
-        that first holds the rows of ``sqrt(k)`` so that the angles'
-        multiply has no broadcast operand (numpy would copy one into a
-        chunk-size iterator buffer); and a scratch buffer that takes
-        ``C^2``, then ``S^2``, then ``p C_{n+2}`` before ``(1 - p) C`` is
-        formed over the cosines. Each elementwise step is the same IEEE
-        operation on the same operands as with a fresh array per step, so
-        no bit depends on the buffers. The envelope's last two columns
-        reach into the next row and are never read. Each reduction is one
-        ``np.vecdot`` over row views of the chunk.
+        times is one C-contiguous ``(rows, K)`` block, ``K = root_k.size``,
+        so every elementwise step is one contiguous pass. Three such
+        buffers are allocated once per call and every chunk is evaluated in
+        them with ``out=`` ufuncs: the angles, then their sines written
+        over them; the cosines; and a scratch buffer.
+
+        The cosines and sines come by one of two paths, chosen from the
+        times alone (:meth:`_fine_tables`):
+
+        * direct: a chunk is ``_CHUNK_ELEMENTS // K`` times (at least one).
+          The cosine buffer first holds the rows of ``sqrt(k)``, so that the
+          angles' multiply has no broadcast operand (numpy would copy one
+          into a chunk-size iterator buffer), then ``np.cos`` and ``np.sin``
+          of every angle. A state has the bits of the one-point series.
+        * rotated, on a uniform grid of step ``dt``: a chunk is one block of
+          ``R`` times. Its first row, the anchor, is direct. Row ``b`` is
+          the anchor turned by the fine tables ``F_c, F_s = cos, sin(g
+          sqrt(k) b dt)``, built once per call: ``C = F_c C_a - F_s S_a``
+          and ``S = F_s C_a + F_c S_a``, two multiplies and one add each.
+          A turned cos or sin differs from the direct one by the rounding
+          of the angles, at most about ``28 u g sqrt(k) t`` (``u = 2^-53``,
+          a drift of ``_PROGRESSION_ULPS`` ulps of the time included), plus
+          ``10 u`` for the turn and the cos and sin themselves.
+
+        The scratch buffer then takes ``C^2``, then ``S^2``, then
+        ``p C_{n+2}`` before ``(1 - p) C`` is formed over the cosines. Each
+        elementwise step is the same IEEE operation on the same operands as
+        with a fresh array per step, so no bit depends on the buffers. The
+        envelope's last two columns reach into the next row and are never
+        read. Each reduction is one ``np.vecdot`` over row views of the
+        chunk; the populations are weighted by ``p`` and ``1 - p`` once,
+        after the last chunk. The views a chunk reads are made once for the
+        full chunk and once more for a shorter last one, not per chunk.
         """
         w, pairs, root_k = self.weights, self.pairs, self.root_k
-        rho11, envelope = np.empty(times.size), np.empty(times.size)
+        rho11, pop_g, envelope = np.empty(times.size), np.empty(times.size), np.empty(times.size)
         g_t = self.g * times
-        rows = max(1, min(times.size, _CHUNK_ELEMENTS // root_k.size))
+        fine = self._fine_tables(times)
+        if fine:
+            fine_c, fine_s = fine
+            rows = len(fine_c) + 1  # a block
+        else:
+            rows = max(1, min(times.size, _CHUNK_ELEMENTS // root_k.size))
         buffers = [np.empty((rows, root_k.size)) for _ in range(3)]
+
+        def views(n: int) -> tuple:
+            """The first ``n`` rows of the buffers and every view of them a chunk reads."""
+            s, c, x = (b[:n] for b in buffers)
+            c_flat, s_flat, x_flat = c.reshape(-1), s.reshape(-1), x.reshape(-1)
+            turn = (s[0], c[0], s[1:], c[1:], x[1:], fine_s[:n - 1], fine_c[:n - 1]) if fine else ()
+            return (s, c, x, turn, x[:, 1:], x[:, :-1], x_flat[:-2], c_flat[2:],
+                    c_flat[:-2], s_flat[1:-1], c[:, :-2])
+
+        full = views(rows)  # every chunk but a shorter last one
         for lo in range(0, times.size, rows):
-            s, c, scratch = (b[:times.size - lo] for b in buffers)
-            np.copyto(c, root_k)
-            np.copyto(s, g_t[lo:lo + rows, None])
-            np.multiply(s, c, out=s)  # the angles
-            np.cos(s, out=c)
+            hi = lo + rows
+            s, c, x, turn, x_e, x_g, later, c_later, mix, s_mix, c_mix = (
+                full if hi <= times.size else views(times.size - lo))
+            if fine:
+                s_a, c_a, s_t, c_t, x_t, f_s, f_c = turn
+                np.multiply(g_t[lo], root_k, out=s_a)  # the anchor's angles
+                np.cos(s_a, out=c_a)
+                np.sin(s_a, out=s_a)
+                np.multiply(f_c, c_a, out=c_t)
+                np.multiply(f_s, s_a, out=x_t)
+                c_t -= x_t
+                np.multiply(f_s, c_a, out=s_t)
+                np.multiply(f_c, s_a, out=x_t)
+                s_t += x_t
+            else:
+                np.copyto(c, root_k)
+                np.copyto(s, g_t[lo:hi, None])
+                np.multiply(s, c, out=s)  # the angles
+                np.cos(s, out=c)
+                np.sin(s, out=s)
             c[:, -1] = 1.0
-            np.sin(s, out=s)
-            np.square(c, out=scratch)
-            pop_e = np.vecdot(scratch[:, 1:], w)
-            np.square(s, out=scratch)
-            pop_g = np.vecdot(scratch[:, :-1], w)
-            rho11[lo:lo + rows] = p * pop_e + (1.0 - p) * pop_g
-            later = scratch.reshape(-1)[:-2]
-            np.multiply(p, c.reshape(-1)[2:], out=later)  # p C_{n+2}
+            np.square(c, out=x)
+            rho11[lo:hi] = np.vecdot(x_e, w)
+            np.square(s, out=x)
+            pop_g[lo:hi] = np.vecdot(x_g, w)
+            np.multiply(p, c_later, out=later)  # p C_{n+2}
             np.multiply(1.0 - p, c, out=c)  # the cosines are not read again
-            mix = c.reshape(-1)[:-2]
             mix -= later
-            mix *= s.reshape(-1)[1:-1]
-            envelope[lo:lo + rows] = np.vecdot(c[:, :-2], pairs)
+            mix *= s_mix
+            envelope[lo:hi] = np.vecdot(c_mix, pairs)
+        rho11 *= p
+        pop_g *= 1.0 - p
+        rho11 += pop_g
         return rho11, envelope
 
 

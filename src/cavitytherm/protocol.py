@@ -264,8 +264,9 @@ def _run_grid(config: ProtocolConfig,
     """The protocol at each of ``times`` (Python floats), or the exception that stopped it.
 
     The field step, the window edges, the field phase and the pulse mode
-    are read once, and the kernel evolves and checks every time in one
-    :meth:`~cavitytherm.dynamics.FieldStep.evolve_grid` call. Each state
+    are read once, and the kernel evolves and checks every time in one call
+    of :meth:`~cavitytherm.dynamics.FieldStep.evolve_grid`'s float entry on
+    ``times`` itself, so a sweep converts its grid to floats once. Each state
     is then pulsed and read out in scalar ``math`` arithmetic on its
     floats: the pulse of :func:`pi_half_pulse` or the smaller eigenvalue
     of the pre-pulse state, the post-pulse state built (and so checked)
@@ -283,7 +284,7 @@ def _run_grid(config: ProtocolConfig,
     if any(b < a for a, b in zip(ordered, ordered[1:])):
         raise ValueError("t_grid must be ascending")
     prep, physical = config.prep, config.physical
-    results = FieldStep(prep, physical).evolve_grid(config.initial_atom(), times)
+    results = FieldStep(prep, physical)._evolve_floats(config.initial_atom(), times)
     scales = config.timescales()
     collapse_complete, half_revival = scales.collapse_complete, scales.half_revival
     phi, delta_e = prep.phi, physical.delta_e

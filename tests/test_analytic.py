@@ -384,6 +384,17 @@ class TestTMax:
         expected = analytic.temperature_from_pe(pe).temperature
         assert analytic.t_max(36.0).temperature == pytest.approx(expected, rel=1e-12)
 
+    def test_numeric_variant_solves_the_collapse_root_alone(self, monkeypatch):
+        # The Lambert-W linearization is collapse_condition_time's, not t_max's.
+        root = analytic.collapse_condition_time(46.0).root
+        expected = analytic.temperature_from_pe(0.5 * (1.0 - math.sin(root / (2.0 * math.sqrt(46.0)))))
+
+        def refuse(x):
+            raise AssertionError(f"lambert_w0({x}) called")
+
+        monkeypatch.setattr(analytic, "lambert_w0", refuse)
+        assert analytic.t_max(46.0) == expected
+
     def test_closed_form_domain_guard(self):
         with pytest.raises(ValueError):
             analytic.t_max(0.001, variant="closed_form")

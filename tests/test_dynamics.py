@@ -282,6 +282,11 @@ class TestConservationProperties:
         np.testing.assert_allclose(stepped.amplitudes, both.amplitudes, atol=1e-11)
 
 
+def trimmed_window(field_step: dynamics.FieldStep) -> tuple[int, int]:
+    """``(n_first, n_top)``, the photon numbers the field step's series sums over."""
+    return round(field_step.root_k[0] ** 2), round(field_step.root_k[-1] ** 2) - 1
+
+
 def kernel_state(p_e: float, alpha: complex, t: float,
                  params: PhysicalParams | None = None) -> hilbert.AtomDensity:
     return dynamics.evolve_atom_field_mixture(hilbert.AtomDensity(p_e), alpha, t, params)
@@ -337,7 +342,8 @@ class TestCoherenceSeries:
         prep = hilbert.CoherentPrep(alpha)
         field_step = dynamics.FieldStep(prep)
         assert prep.n_lo > 0.5 * n_bar
-        assert field_step.weights.size == prep.n_max - prep.n_lo + 1
+        n_first, n_top = trimmed_window(field_step)
+        assert prep.n_lo < n_first and n_top < prep.n_max
         joint = hilbert.coherent_joint_state(initial_level, alpha)
         scales = Timescales(n_bar)
         for t in (scales.tau_collapse, scales.tau_revival / 2, 1.1 * scales.tau_revival):
@@ -482,7 +488,9 @@ class TestGridStep:
     @pytest.mark.parametrize("tight", [False, True])
     def test_every_grid_length_equals_the_one_point_series(self, n_bar, tight):
         # At the smallest valid cutoff the top weight is large enough for the
-        # partnerless top level (C = 1) to show in the bits.
+        # partnerless top level (C = 1) to show in the bits. Every length
+        # here is below the rotated path's, so every state is the one-point
+        # series bit for bit (TestRotatedGrid bounds longer uniform grids).
         alpha = math.sqrt(n_bar) * np.exp(0.7j)
         n_max = hilbert._required_cutoff(n_bar) if tight else None
         field_step = dynamics.FieldStep(hilbert.CoherentPrep(alpha, n_max))
@@ -491,6 +499,7 @@ class TestGridStep:
         half = Timescales(n_bar).half_revival
         for length in sorted({1, max(rows - 1, 1), rows, rows + 1, 3 * rows + 2}):
             grid = np.linspace(half / length, half, length)
+            assert not block_rows(field_step, grid)
             for p_e in (0.0, 0.27):
                 atom = hilbert.AtomDensity(p_e)
                 states = field_step.evolve_grid(atom, grid)
@@ -666,6 +675,130 @@ class TestGridStep:
             tracemalloc.stop()
         chunk = min(rows, length) * field_step.root_k.nbytes
         assert peak <= 4 * chunk + 3 * times.nbytes + 4096
+
+
+def rotation_rows(field_step: dynamics.FieldStep) -> int:
+    """Rows ``R`` of a table block on the rotated path: ``5 R - 2`` rows fit three chunks."""
+    return (3 * dynamics._CHUNK_ELEMENTS // field_step.root_k.size + 2) // 5
+
+
+def block_rows(field_step: dynamics.FieldStep, times: np.ndarray) -> int:
+    """Rows of a block when ``_series`` takes ``times`` on the rotated path, else 0."""
+    fine = field_step._fine_tables(np.asarray(times))
+    return 0 if fine is None else len(fine[0]) + 1
+
+
+def rotation_bound(field_step: dynamics.FieldStep, t_max: float) -> float:
+    """Largest change the rotated path may make to a state at times up to ``t_max``.
+
+    A turned cos or sin is off the direct one by at most
+    ``d = 28 u theta + 10 u``, ``theta = g sqrt(n_top + 1) t_max`` and
+    ``u = 2^-53`` (``FieldStep._series``). ``rho11`` sums squares of them
+    under weights that sum to at most 1, and the envelope sums products of
+    two under ``a_n a_{n+1}``, which also sum to at most 1, so each moves by
+    at most ``2 d``; each path's ``K``-term dot products round by at most
+    ``K u`` more, and the carrier and the mixing by a few ``u``.
+    """
+    u = 2.0 ** -53
+    turn = 28 * u * field_step.g * float(field_step.root_k[-1]) * t_max + 10 * u
+    return 2 * turn + 2 * (field_step.root_k.size + 4) * u
+
+
+class TestRotatedGrid:
+    """A long uniform grid takes its cos and sin from rotation tables, within a bound."""
+
+    @pytest.mark.parametrize("n_bar", [2.0, 36.0, 1e3])
+    def test_states_stay_within_the_bound_of_the_one_point_series(self, n_bar):
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(math.sqrt(n_bar) * np.exp(0.7j)))
+        rows = rotation_rows(field_step)
+        assert rows == {2.0: 49, 36.0: 12, 1e3: 2}[n_bar]
+        threshold = dynamics._PAYBACK_BLOCKS * rows
+        half = Timescales(n_bar).half_revival
+        bound = rotation_bound(field_step, half)
+        for length in (threshold - 1, threshold, threshold + 1, 2 * threshold + 3):
+            grid = np.linspace(0.0, half, length + 1)  # t = 0 echoes the atom
+            rotated = length >= threshold
+            assert block_rows(field_step, grid[1:]) == (rows if rotated else 0)
+            for p_e in (0.0, 0.27):
+                atom = hilbert.AtomDensity(p_e)
+                states = field_step.evolve_grid(atom, grid)
+                for j, (t, state) in enumerate(zip(grid[1:], states[1:])):
+                    alone = field_step.evolve(atom, float(t))
+                    if not rotated or j % rows == 0:  # an anchor row is direct
+                        assert (state.rho11, state.rho01) == (alone.rho11, alone.rho01)
+                    else:
+                        assert abs(state.rho11 - alone.rho11) <= bound
+                        assert abs(state.rho01 - alone.rho01) <= bound
+
+    def test_a_time_off_the_progression_takes_the_direct_path(self):
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0 * np.exp(0.4j)))
+        atom = hilbert.AtomDensity(0.3)
+        grid = np.linspace(0.0, Timescales(36.0).half_revival, 200)
+        ulp = math.ulp(grid[-1])
+        near, nudged = grid.copy(), grid.copy()
+        near[117] += ulp
+        nudged[117] += 16 * ulp
+        assert block_rows(field_step, grid[1:]) == rotation_rows(field_step)
+        assert block_rows(field_step, near[1:]) == rotation_rows(field_step)
+        assert block_rows(field_step, nudged[1:]) == 0
+        for t, state in zip(nudged, field_step.evolve_grid(atom, nudged)):
+            alone = field_step.evolve(atom, float(t))
+            assert (state.rho11, state.rho01) == (alone.rho11, alone.rho01)
+            if t:
+                assert (state.rho11, state.rho01) == pointwise_series(field_step, 0.3, float(t))
+
+    def test_the_sweep_grid_takes_one_row_of_cos_and_sin_per_block(self, monkeypatch):
+        # The 200-point n_bar = 36 sweep evaluates 199 times: 17 blocks of
+        # 12 and 11 fine rows, against 199 rows of 99 on the direct path and
+        # 199 rows of 130 over the untrimmed window.
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(6.0))
+        k, rows = field_step.root_k.size, rotation_rows(field_step)
+        assert (k, rows) == (99, 12)
+        angles = record_rabi_angles(monkeypatch)
+        grid = np.linspace(0.0, Timescales(36.0).half_revival, 200)
+        field_step.evolve_grid(hilbert.AtomDensity(0.3), grid)
+        for name, calls in angles.items():
+            assert sum(x.size for x in calls) == (-(-199 // rows) + rows - 1) * k == 2772, name
+
+
+class TestTrimmedWindow:
+    """The field step sums over the photon numbers whose weight can reach a sum."""
+
+    @pytest.mark.parametrize("n_bar", [0.0, 1e-3, 2.0, 36.0, 1e3, 1e4])
+    def test_each_dropped_end_holds_at_most_half_an_ulp(self, n_bar):
+        prep = hilbert.CoherentPrep(math.sqrt(n_bar))
+        field_step = dynamics.FieldStep(prep)
+        n_first, n_top = trimmed_window(field_step)
+        n = np.arange(prep.n_lo, prep.n_max + 1)
+        w = hilbert.poisson_weight(n, prep.n_bar)
+        invisible = 2.0 ** -54
+        assert np.array_equal(field_step.weights, w[(n >= n_first) & (n <= n_top)])
+        assert np.array_equal(field_step.root_k, np.sqrt(np.arange(n_first, n_top + 2.0)))
+        assert math.fsum(w[n < n_first]) <= invisible
+        assert math.fsum(w[n > n_top]) <= invisible
+
+        def hidden(m: int) -> bool:  # m and the mass beyond it, away from the mean
+            i = m - prep.n_lo
+            beyond = w[i + 1:] if m > n_bar else w[:i]
+            return w[i] <= invisible and math.fsum(beyond) <= invisible
+
+        # Each end is the first photon number that qualifies, scanning out from the mean.
+        assert n_top == prep.n_max or hidden(n_top)
+        assert not any(hidden(m) for m in range(math.floor(n_bar) + 1, n_top))
+        assert n_first == prep.n_lo or hidden(n_first)
+        assert not any(hidden(m) for m in range(n_first + 1, math.ceil(n_bar)))
+
+    def test_the_vacuum_keeps_its_exact_rabi_oscillation(self):
+        # The window is n <= 1; the top level is the partnerless one (C = 1),
+        # so the excited population is the kernel's own cos^2(g t), exactly.
+        params = PhysicalParams(g=0.8)
+        field_step = dynamics.FieldStep(hilbert.CoherentPrep(0.0), params)
+        assert trimmed_window(field_step) == (0, 1)
+        for t in (0.3, 1.0, 4.0, 123.4):
+            rho = field_step.evolve(hilbert.AtomDensity(1.0), t)
+            assert rho.rho01 == 0j
+            assert rho.rho11 == np.cos((params.g * t) * field_step.root_k)[1] ** 2
+            assert rho.rho11 == pytest.approx(math.cos(params.g * t) ** 2, rel=0, abs=2.3e-16)
 
 
 class TestKernelProperties:

@@ -270,7 +270,7 @@ class TestRunProtocol:
         def edge_states(self, atom, times):
             return [edge for _ in times]
 
-        monkeypatch.setattr(dynamics.FieldStep, "evolve_grid", edge_states)
+        monkeypatch.setattr(dynamics.FieldStep, "_evolve_floats", edge_states)
         result = protocol.run_protocol(make_config(t, pulse_mode=pulse_mode))
         assert result.rho_pre_pulse is edge
         assert result.reading.pe == 0.0
@@ -290,6 +290,28 @@ class TestSweep:
         assert len(points) == 1
         assert points[0].ok
         assert points[0].result.reading.temperature == pytest.approx(1.0, abs=1e-12)
+
+    def test_the_grid_is_converted_to_floats_once(self, monkeypatch):
+        # The kernel gets the sweep's own list of floats; evolve_grid, which
+        # converts its grid again, is not called.
+        handed = []
+        evolve_floats = dynamics.FieldStep._evolve_floats
+
+        def spy(self, atom, times):
+            handed.append(times)
+            return evolve_floats(self, atom, times)
+
+        def refuse(self, atom, times):
+            raise AssertionError("evolve_grid called")
+
+        monkeypatch.setattr(dynamics.FieldStep, "_evolve_floats", spy)
+        monkeypatch.setattr(dynamics.FieldStep, "evolve_grid", refuse)
+        grid = np.linspace(0.0, 9.0, 7)
+        points = protocol.sweep_interaction_time(make_config(0.0), grid)
+        (times,) = handed
+        assert times == grid.tolist() and {type(t) for t in times} == {float}
+        assert [point.t for point in points] == times
+        assert all(point.t is t for point, t in zip(points, times))
 
     def test_grid_validation(self):
         config = make_config(0.0)
