@@ -1,8 +1,8 @@
 """Closed-form approximations for the collapse-phase protocol.
 
-Everything here is algebra on top of the exact dynamics: the collapse-era
-population, the slow post-collapse coherence, the pulse-floor population,
-the temperature map, and the reachable-temperature bounds built from them.
+Everything here is algebra on top of the exact dynamics: the slow
+post-collapse coherence, the pulse-floor population, the temperature map,
+and the reachable-temperature bounds built from them.
 Each formula carries a validity window (post-collapse, pre-half-revival) exposed
 through :class:`Timescales`; outside the window the functions still return
 values (figures deliberately plot them through the collapse) and callers
@@ -110,34 +110,6 @@ class Timescales:
     def half_revival(self) -> float:
         """Upper edge of the validity window, ``tau_revival / 2``."""
         return 0.5 * self.tau_revival
-
-
-def rho11_analytic(t: float, n_bar: float, params: PhysicalParams | None = None,
-                   initial_level: int = LEVEL_E) -> float:
-    """Collapse-era excited population for an initial product state.
-
-    A half-half mixture plus a damped oscillation at the mean-weighted
-    splitting of whichever exchange ladder the atom actually drives:
-    ``1/2 + (1/2) cos(2 g sqrt(n_bar + 1) t) exp(-t^2/tau_c^2)`` for initial
-    ``|e>`` (which exchanges with ``n -> n+1``, mean splitting
-    ``2 g sqrt(n_bar + 1)``) and ``1/2 - (1/2) cos(2 g sqrt(n_bar) t)
-    exp(-t^2/tau_c^2)`` for initial ``|g>`` (which exchanges with
-    ``n -> n-1``, mean splitting ``2 g sqrt(n_bar)``). Crossing the carriers
-    over dephases visibly from the exact numerics within three collapse
-    times (deviation 0.06 instead of 0.01 at ``n_bar = 36``).
-
-    Valid through the collapse, ``t`` up to a few ``tau_collapse``.
-    """
-    params = params or PhysicalParams()
-    if initial_level not in (LEVEL_G, LEVEL_E):
-        raise ValueError(f"initial_level must be 0 (g) or 1 (e), got {initial_level}")
-    _check_n_bar(n_bar)
-    if initial_level == LEVEL_E:
-        sign, ladder_mean = 1.0, n_bar + 1.0
-    else:
-        sign, ladder_mean = -1.0, n_bar
-    carrier = math.cos(2.0 * params.g * math.sqrt(ladder_mean) * t)
-    return 0.5 + sign * 0.5 * carrier * math.exp(-0.5 * (params.g * t) ** 2)
 
 
 def rho01_analytic(t: float, n_bar: float, params: PhysicalParams | None = None,

@@ -171,13 +171,11 @@ _UNITS_COMMENT = "# units: temperatures in delta_e/k_B, times in 1/g"
 
 
 def _plain_value(value):
-    """A cell as a Python scalar: numpy scalars unwrapped, +/-inf as tokens.
+    """A cell with +/-inf as tokens; NaN is refused.
 
-    NaN is refused. CSV and JSON output both go through here. A numpy scalar
-    is told by its ``item`` method, so the closed-form commands need no numpy.
+    CSV and JSON output both go through here. Every command hands it a
+    Python ``float``, ``bool``, ``str`` or ``None``.
     """
-    if hasattr(value, "item"):
-        value = value.item()
     if isinstance(value, float):
         if math.isnan(value):
             raise ValueError("refusing to emit NaN")

@@ -245,17 +245,15 @@ class FieldStep:
         Entry ``i`` is the state after ``times[i]``, its ``rho11`` a Python
         float and its ``rho01`` a complex, or the ``ValueError`` that
         rejects the time or its state: a negative, infinite or NaN time,
-        one whose largest Rabi angle ``g sqrt(k) t`` over the window (the
-        message says ``n_max + 1`` for its top) or whose carrier phase
-        ``omega t`` overflows, or one whose state the
-        :class:`~cavitytherm.hilbert.AtomDensity` constructor rejects through
-        :func:`~cavitytherm.hilbert.check_density`. A rejected time is left
-        out of the series, so it can move the others only by choosing their
-        path (see :meth:`_series`). A zero time is the identity and its
-        entry is ``atom`` itself: the series leaves ~1e-16 dust in rho11,
-        enough to turn a maximally mixed atom's infinite temperature into a
-        finite ~1e15 reading. A non-diagonal ``atom`` raises for the whole
-        grid.
+        one whose largest Rabi angle ``g sqrt(n_top + 1) t`` over the
+        trimmed window or whose carrier phase ``omega t`` overflows, or one
+        whose state the :class:`~cavitytherm.hilbert.AtomDensity`
+        constructor rejects. A rejected time is left out of the series, so
+        it can move the others only by choosing their path (see
+        :meth:`_series`). A zero time is the identity and its entry is
+        ``atom`` itself: the series leaves ~1e-16 dust in rho11, enough to
+        turn a maximally mixed atom's infinite temperature into a finite
+        ~1e15 reading. A non-diagonal ``atom`` raises for the whole grid.
         """
         return self._evolve_floats(atom, [float(t) for t in times])
 
@@ -273,7 +271,7 @@ class FieldStep:
                 check_interaction_time(t)
                 if not math.isfinite((self.g * t) * top):
                     raise ValueError("interaction_time overflows the Rabi angle "
-                                     f"g sqrt(n_max + 1) t, got {t}")
+                                     f"g sqrt(n_top + 1) t, got {t}")
                 if not math.isfinite(self.omega * t):
                     raise ValueError("interaction_time overflows the carrier phase "
                                      f"omega t, got {t}")

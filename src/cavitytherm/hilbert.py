@@ -355,21 +355,6 @@ def coherent_joint_state(level: int, alpha: complex,
     return product_state(level, coherent_amplitudes(prep.alpha, prep.n_max), params)
 
 
-def check_density(rho11: float, rho01: complex) -> None:
-    """Reject ``(rho11, rho01)`` unless it is a density matrix to within rounding.
-
-    The check that constructing an :class:`AtomDensity` makes: ``rho11`` in
-    ``[0, 1]`` and a determinant ``(1 - rho11) rho11 - |rho01|^2`` of at
-    least ``-1e-12``. NaN fails both.
-    """
-    if not -_POSITIVITY_SLACK <= rho11 <= 1.0 + _POSITIVITY_SLACK:
-        raise ValueError(f"rho11 must lie in [0, 1], got {rho11}")
-    determinant = (1.0 - rho11) * rho11 - abs(rho01) ** 2
-    if not determinant >= -_POSITIVITY_SLACK:
-        raise ValueError(
-            f"density matrix is not positive semi-definite: det = {determinant:.3e}")
-
-
 def density_eigenvalues(rho11: float, rho01: complex) -> tuple[float, float]:
     """Eigenvalue pair ``(smallest, largest)`` of the state ``(rho11, rho01)``."""
     radius = math.hypot(rho11 - 0.5, abs(rho01))
@@ -383,10 +368,12 @@ class AtomDensity:
     Stored as the excited population ``rho11 = <e|rho|e>`` and the coherence
     ``rho01 = <g|rho|e>``; the trace is exactly 1 and Hermiticity is implied
     by the storage. The one constructor converts the two arguments with
-    ``float()`` and ``complex()``, holds them to :func:`check_density` and
-    sets each slot through its descriptor, bound once at import. A Python
-    float and complex are stored as the very objects given, so the kernel's
-    and the pulse's states keep every bit and cost no conversion.
+    ``float()`` and ``complex()``, rejects them unless ``rho11`` lies in
+    ``[0, 1]`` and then the determinant ``(1 - rho11) rho11 - |rho01|^2`` is
+    non-negative, each to within ``_POSITIVITY_SLACK`` (NaN fails both), and
+    sets each slot through its descriptor, bound once at import.
+    A Python float and complex are stored as the very objects given, so the
+    kernel's and the pulse's states keep every bit and cost no conversion.
     """
 
     rho11: float
@@ -394,7 +381,12 @@ class AtomDensity:
 
     def __init__(self, rho11: float, rho01: complex = 0j) -> None:
         rho11, rho01 = float(rho11), complex(rho01)
-        check_density(rho11, rho01)
+        if not -_POSITIVITY_SLACK <= rho11 <= 1.0 + _POSITIVITY_SLACK:
+            raise ValueError(f"rho11 must lie in [0, 1], got {rho11}")
+        determinant = (1.0 - rho11) * rho11 - abs(rho01) ** 2
+        if not determinant >= -_POSITIVITY_SLACK:
+            raise ValueError(
+                f"density matrix is not positive semi-definite: det = {determinant:.3e}")
         _SET_RHO11(self, rho11)
         _SET_RHO01(self, rho01)
 

@@ -527,7 +527,7 @@ def sweep_monotone_after_collapse() -> tuple[bool, str]:
     stated numerical-noise tolerance of 1e-3: the exact floor has a real
     wiggle of about 1e-4 just before the half revival.
     """
-    root = analytic.collapse_condition_time(DEFAULT_N_BAR).root
+    root, _ = analytic._collapse_root(DEFAULT_N_BAR, _SCALES.g)
     config = _default_config()
     pes = [p.result.reading.pe for p in _entries(protocol.sweep_interaction_time(
         config, np.linspace(root, _SCALES.half_revival, 60)))]
@@ -547,7 +547,7 @@ def sweep_monotone_after_collapse() -> tuple[bool, str]:
 @_check()
 def ceiling_matches_sweep() -> tuple[bool, str]:
     """The sweep temperature at the collapse condition matches the ceiling."""
-    root = analytic.collapse_condition_time(DEFAULT_N_BAR).root
+    root, _ = analytic._collapse_root(DEFAULT_N_BAR, _SCALES.g)
     res = protocol.run_protocol(_default_config(root))
     ceiling = analytic.t_max(DEFAULT_N_BAR, variant="numeric").temperature
     gap = abs(res.reading.temperature - ceiling) / ceiling

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from cavitytherm import analytic, dynamics, hilbert
 from cavitytherm.analytic import Timescales
-from cavitytherm.hilbert import LEVEL_E, LEVEL_G, PhysicalParams
+from cavitytherm.hilbert import LEVEL_E, PhysicalParams
 
 N_BAR = 36.0
 ALPHA = 6.0
@@ -29,23 +29,16 @@ ALPHA = 6.0
 CYCLE_X = 33990.13743634579
 
 
-def exact_rho11(t: float, initial_level: int) -> float:
-    state = hilbert.coherent_joint_state(initial_level, ALPHA)
-    return hilbert.partial_trace_field(dynamics.propagate(state, t)).rho11
-
-
 @pytest.mark.parametrize("field, call", [
     ("n_bar", lambda x: Timescales(x)),
     ("g", lambda x: Timescales(36.0, g=x)),
     ("n_bar", lambda x: analytic.rho01_analytic(5.0, x)),
-    ("n_bar", lambda x: analytic.rho11_analytic(1.0, x)),
     ("n_bar", lambda x: analytic.pe_after_pulse_analytic(5.0, x)),
     ("n_bar", lambda x: analytic.pe_half_revival(x)),
     ("n_bar", lambda x: analytic.collapse_condition_time(x)),
     ("n_bar", lambda x: analytic.t_max(x, variant="closed_form")),
-], ids=["Timescales.n_bar", "Timescales.g", "rho01_analytic", "rho11_analytic",
-        "pe_after_pulse_analytic", "pe_half_revival", "collapse_condition_time",
-        "t_max.closed_form"])
+], ids=["Timescales.n_bar", "Timescales.g", "rho01_analytic", "pe_after_pulse_analytic",
+        "pe_half_revival", "collapse_condition_time", "t_max.closed_form"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_inputs_are_rejected_by_name(field, call, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -81,33 +74,6 @@ class TestTimescales:
             Timescales(0.0)
         with pytest.raises(ValueError):
             Timescales(36.0, g=-1.0)
-
-
-class TestRho11Analytic:
-    def test_initial_conditions(self):
-        assert analytic.rho11_analytic(0.0, 36.0, initial_level=LEVEL_E) == 1.0
-        assert analytic.rho11_analytic(0.0, 36.0, initial_level=LEVEL_G) == 0.0
-
-    def test_saturates_to_half_after_five_collapse_times(self):
-        tau_c = Timescales(36.0).tau_collapse
-        for t in (5.0 * tau_c, 6.0 * tau_c, 10.0 * tau_c):
-            out = analytic.rho11_analytic(t, 36.0)
-            assert abs(out - 0.5) <= math.exp(-25.0)
-
-    @pytest.mark.parametrize("initial_level", [LEVEL_E, LEVEL_G])
-    def test_tracks_exact_dynamics_through_collapse(self, initial_level):
-        scales = Timescales(N_BAR)
-        t_grid = np.linspace(0.0, 3.0 * scales.tau_collapse, 80)
-        approx = np.array([analytic.rho11_analytic(t, N_BAR, initial_level=initial_level)
-                           for t in t_grid])
-        exact = np.array([exact_rho11(t, initial_level) for t in t_grid])
-        assert np.max(np.abs(approx - exact)) <= 0.03
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            analytic.rho11_analytic(1.0, -1.0)
-        with pytest.raises(ValueError):
-            analytic.rho11_analytic(1.0, 36.0, initial_level=5)
 
 
 class TestRho01Analytic:

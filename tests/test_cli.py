@@ -204,7 +204,7 @@ class TestRunCommand:
         assert code == 3
         assert out == ""
         assert err.strip() == ("numeric failure: interaction_time overflows the Rabi "
-                               "angle g sqrt(n_max + 1) t, got 1e+308")
+                               "angle g sqrt(n_top + 1) t, got 1e+308")
 
     def test_overflowing_carrier_phase_is_a_numeric_failure_naming_it(self, capsys):
         message = "interaction_time overflows the carrier phase omega t, got "
@@ -527,13 +527,8 @@ class TestValidate:
                 assert row["detail"] != ""
 
     @pytest.mark.parametrize("value, cell, json_value", [
-        (np.bool_(True), "true", True),
-        (np.bool_(False), "false", False),
-        (np.int64(3), "3", 3),
         (np.float64(0.1), "0.10000000000000001", 0.1),
-        (np.float32(0.1), "0.10000000149011612", 0.10000000149011612),
         (np.float64(np.inf), "inf", "inf"),
-        (np.float32(-np.inf), "-inf", "-inf"),
         (math.inf, "inf", "inf"),
         (-math.inf, "-inf", "-inf"),
     ])
@@ -542,19 +537,11 @@ class TestValidate:
         (row,) = json.loads(cli._render_json(["v"], [{"v": value}]))["rows"]
         assert row["v"] == json_value and type(row["v"]) is type(json_value)
 
-    @pytest.mark.parametrize("value", [math.nan, np.float64(np.nan), np.float32(np.nan)])
+    @pytest.mark.parametrize("value", [math.nan, np.float64(np.nan)])
     def test_nan_cells_are_refused(self, value):
         for render in (cli._render_csv, cli._render_json):
             with pytest.raises(ValueError, match="refusing to emit NaN"):
                 render(["v"], [{"v": value}])
-
-    def test_numpy_bools_format_like_python_bools(self):
-        assert cli._fmt_cell(np.bool_(True)) == "true"
-        assert cli._fmt_cell(np.bool_(False)) == "false"
-        assert cli._plain_value(np.bool_(False)) is False
-        assert type(cli._plain_value(np.int64(3))) is int
-        assert json.loads(cli._render_json(["ok"], [{"ok": np.bool_(True)}]))["rows"] == [
-            {"ok": True}]
 
     def test_json_report_has_boolean_verdicts(self, capsys, tmp_path, fast_battery):
         out_path = tmp_path / "report.json"

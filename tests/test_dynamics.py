@@ -519,7 +519,7 @@ class TestGridStep:
         assert [str(state) if isinstance(state, ValueError) else None
                 for state in states] == [
             None, None, finite + "nan", finite + "-1.0", None,
-            "interaction_time overflows the Rabi angle g sqrt(n_max + 1) t, got 1e+308"]
+            "interaction_time overflows the Rabi angle g sqrt(n_top + 1) t, got 1e+308"]
         assert states[0] is atom
         for t, state in zip(times, states):
             if not isinstance(state, ValueError):
@@ -542,7 +542,7 @@ class TestGridStep:
         # A message, the atom itself (-0.0 is a zero time) or the evaluated state.
         expected = {math.nan: finite + "nan", -1.0: finite + "-1.0", math.inf: finite + "inf",
                     -math.inf: finite + "-inf", -5e-324: finite + "-5e-324",
-                    1e308: "interaction_time overflows the Rabi angle g sqrt(n_max + 1) t, "
+                    1e308: "interaction_time overflows the Rabi angle g sqrt(n_top + 1) t, "
                            "got 1e+308",
                     -0.0: atom, 5e-324: pointwise_series(field_step, 0.4, 5e-324)}
         for position in (0, len(grid) // 2, len(grid) - 1):

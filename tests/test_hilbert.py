@@ -456,13 +456,21 @@ class TestAtomDensity:
         with pytest.raises(ValueError, match="positive semi-definite"):
             hilbert.AtomDensity(0.5, rho01)
 
-    @pytest.mark.parametrize("rho11, rho01", [(1.5, 0j), (0.5, 0.6)])
-    def test_checked_constructor_makes_check_densitys_check(self, rho11, rho01):
-        with pytest.raises(ValueError) as expected:
-            hilbert.check_density(rho11, rho01)
+    def test_the_check_holds_its_slack_and_its_order(self):
+        # Within the 1e-12 slack a state is kept; past it the population
+        # range is checked first, so an out-of-range rho11 names the range
+        # although its determinant is below the slack too.
+        for rho11, rho01 in [(1.0 + 5e-13, 0j), (-5e-13, 0j),
+                             (0.5, math.sqrt(0.25 + 9e-13))]:
+            assert hilbert.AtomDensity(rho11, rho01).rho11 == rho11
+        for rho11 in (1.0 + 2e-12, -2e-12):
+            with pytest.raises(ValueError) as raised:
+                hilbert.AtomDensity(rho11)
+            assert str(raised.value) == f"rho11 must lie in [0, 1], got {rho11}"
         with pytest.raises(ValueError) as raised:
-            hilbert.AtomDensity(rho11, rho01)
-        assert str(raised.value) == str(expected.value)
+            hilbert.AtomDensity(0.5, math.sqrt(0.25 + 1.1e-12))
+        assert str(raised.value) == (
+            "density matrix is not positive semi-definite: det = -1.100e-12")
 
     @pytest.mark.parametrize("rho11, rho01", [
         (np.float64(0.25), np.complex128(0.1 + 0.2j)), (1, 0), (True, False),

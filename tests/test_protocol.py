@@ -374,14 +374,14 @@ class TestSweep:
             assert swept.validity == alone.validity
 
     def test_overflowing_time_fails_only_its_own_point(self):
-        # A finite time whose Rabi angle g sqrt(n_max + 1) t overflows is
+        # A finite time whose Rabi angle g sqrt(n_top + 1) t overflows is
         # rejected by name, with no numpy warning (warnings are errors here).
         config = make_config(0.0)
         grid = [0.0, 0.5, 3.0, 1e308, math.nan]
         points = protocol.sweep_interaction_time(config, grid)
         assert [p.ok for p in points] == [True, True, True, False, False]
         assert points[3].error == (
-            "interaction_time overflows the Rabi angle g sqrt(n_max + 1) t, got 1e+308")
+            "interaction_time overflows the Rabi angle g sqrt(n_top + 1) t, got 1e+308")
         clean = protocol.sweep_interaction_time(config, grid[:3])
         for point, kept in zip(points, clean):
             assert point.result == kept.result
